@@ -13,8 +13,7 @@ from .satcore import (CdclSolver, CnfFormula, ModelCapExceeded, SolveOutcome,
                       make_engine, read_dimacs, solve, write_dimacs)
 from .encoder import (EncodedInstance, GroupPartition, VarMap,
                       encode_cardinality, encode_detection, encode_instance)
-from .definability import (DefinabilityContext, build_definability_base,
-                           padoa_query)
+from .definability import DefinabilityContext
 from .gismo import (GismoConfig, GisResult, GroupLog, QueryRecord,
                     VerifyReport, run_gismo, verify_result)
 from .oracle import (EnumerationBudgetError, Signature, failure_set_count,

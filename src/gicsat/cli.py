@@ -193,7 +193,6 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
                       else [g.labels[v] for v in cfg.order]),
             "seed": cfg.seed,
             "inner": cfg.inner_order,
-            "engine": cfg.engine,
         },
         "sensor_count": len(result.sensor_set),
         "sensors": [g.labels[v] for v in sorted(result.sensor_set)],

@@ -28,13 +28,10 @@ from .satcore import CnfFormula, SolveOutcome, make_engine, write_dimacs
 class DefinabilityContext:
     """One shared incremental solver over the doubled formula.
 
-    With fresh_per_query=True every query runs in a brand-new engine on a
-    copy of the base formula (slower, but independent of any incremental
-    state of the bundled engine).
+    engine names the `satcore.ENGINES` entry that answers every query.
     """
 
-    def __init__(self, inst: EncodedInstance, engine: str = "bundled",
-                 fresh_per_query: bool = False):
+    def __init__(self, inst: EncodedInstance, engine: str = "bundled"):
         f = inst.formula
         shift = f.num_vars
         z_order = inst.z_vars  # x_1..x_n then y_1..y_n
@@ -53,15 +50,12 @@ class DefinabilityContext:
             base.add_clause([-e, -z, zh])
             base.add_clause([-e, z, -zh])
 
-        self.instance = inst
         self.base = base
         self.z_order = z_order
         self.hat = {z: z + shift for z in z_order}
         self.hat_aux = [a + shift for a in inst.varmap.aux]
         self.indicators = indicators
-        self.engine_name = engine
-        self.fresh_per_query = fresh_per_query
-        self._engine = None if fresh_per_query else make_engine(base, engine)
+        self._engine = make_engine(base, engine)
 
     def query(self, defining: Iterable[int], target: int,
               budget: int | None = None) -> SolveOutcome:
@@ -75,16 +69,12 @@ class DefinabilityContext:
             raise ValueError(f"target variable {target} is not a projected variable")
         if target in defining:
             raise ValueError("target variable must not be in the defining set")
-        bad = defining - set(self.indicators)
+        bad = defining - self.indicators.keys()
         if bad:
             raise ValueError(f"defining variables {sorted(bad)} are not projected")
         assumptions = [self.indicators[z] for z in self.z_order if z in defining]
         assumptions += [target, -self.hat[target]]
-        if self.fresh_per_query:
-            engine = make_engine(self.base, self.engine_name)
-        else:
-            engine = self._engine
-        return engine.solve(assumptions, budget)
+        return self._engine.solve(assumptions, budget)
 
     def dump_dimacs(self, fp: IO[str]) -> None:
         """Debug dump of the base formula with the z/copy/indicator id map."""
@@ -93,12 +83,3 @@ class DefinabilityContext:
                      for z in self.z_order]
         write_dimacs(self.base, fp, comments=comments)
 
-
-def build_definability_base(inst: EncodedInstance, engine: str = "bundled",
-                            fresh_per_query: bool = False) -> DefinabilityContext:
-    return DefinabilityContext(inst, engine=engine, fresh_per_query=fresh_per_query)
-
-
-def padoa_query(ctx: DefinabilityContext, defining: Iterable[int], target: int,
-                budget: int | None = None) -> SolveOutcome:
-    return ctx.query(defining, target, budget)

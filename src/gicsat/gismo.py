@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .definability import DefinabilityContext, build_definability_base
+from .definability import DefinabilityContext
 from .encoder import EncodedInstance
 from .satcore import SolveStatus
 
@@ -28,15 +28,14 @@ class GismoConfig:
 
     order is one of ORDER_KEYWORDS or an explicit node-index permutation;
     seed only matters for order="random".  budget is the per-query conflict
-    allowance.
+    allowance.  The engine is chosen by the DefinabilityContext passed to
+    run_gismo.
     """
 
     budget: int = 5000
     order: str | tuple[int, ...] = "input"
     seed: int | None = None
     inner_order: str = "y-first"
-    engine: str = "bundled"
-    fresh_per_query: bool = False
 
     def __post_init__(self):
         if self.budget < 1:
@@ -67,7 +66,6 @@ class GroupLog:
 
 @dataclass(frozen=True)
 class GisResult:
-    selected_groups: frozenset[int]
     sensor_set: frozenset[int]
     per_group_log: tuple[GroupLog, ...]
     budget_exhaustions: int
@@ -99,8 +97,7 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
     if cfg is None:
         cfg = GismoConfig()
     if ctx is None:
-        ctx = build_definability_base(inst, engine=cfg.engine,
-                                      fresh_per_query=cfg.fresh_per_query)
+        ctx = DefinabilityContext(inst)
     candidates = set(inst.z_vars)
     selected: set[int] = set()
     selected_support: set[int] = set()
@@ -130,8 +127,7 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
                 kept = True
                 break
         log.append(GroupLog(node=v, tested=tuple(tested), kept=kept))
-    nodes = frozenset(selected)
-    return GisResult(selected_groups=nodes, sensor_set=nodes,
+    return GisResult(sensor_set=frozenset(selected),
                      per_group_log=tuple(log), budget_exhaustions=exhaustions,
                      total_queries=queries, total_conflicts=conflicts)
 
@@ -159,10 +155,10 @@ def verify_result(inst: EncodedInstance, res: GisResult,
     from . import oracle  # local import; oracle builds on this module's types
 
     models = oracle.projected_models(inst, cap=cap)
-    witness = oracle.find_gis_collision(inst, res.selected_groups, models)
-    removable = [v for v in sorted(res.selected_groups)
+    witness = oracle.find_gis_collision(inst, res.sensor_set, models)
+    removable = [v for v in sorted(res.sensor_set)
                  if oracle.find_gis_collision(
-                     inst, res.selected_groups - {v}, models) is None]
+                     inst, res.sensor_set - {v}, models) is None]
     return VerifyReport(is_gis=witness is None, witness=witness,
                         removable_groups=tuple(removable),
                         model_count=len(models))

@@ -38,10 +38,6 @@ class Graph:
         self._check_node(v)
         return len(self.adjacency[v])
 
-    def label_of(self, v: int) -> str:
-        self._check_node(v)
-        return self.labels[v]
-
     def index_of(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -92,13 +88,18 @@ def parse_graph(stream: IO[str] | IO[bytes], fmt: str = "edgelist") -> Graph:
 
     Formats:
       edgelist -- one edge per line as two whitespace-separated tokens;
-                  lines starting with '#' or '%' are comments.
+                  lines starting with '#' or '%' are comments.  Node tokens
+                  are opaque labels (integers in either 0- or 1-based
+                  conventions included) mapped to dense indices by first
+                  appearance.
       mtx      -- Matrix Market coordinate format: '%' comments, one size
-                  line, then one index pair per line (extra columns such as
-                  weights are ignored).
+                  line 'rows cols entries', then one index pair per line
+                  (extra columns such as weights are ignored).  Indices are
+                  1-based by the format's spec and must lie in 1..rows; the
+                  label of a node is its index.  Nodes are numbered by first
+                  appearance, then the declared nodes without an entry
+                  follow in ascending order, so n == rows.
 
-    Node tokens are opaque labels (integers in either 0- or 1-based
-    conventions included) mapped to dense indices by first appearance.
     Self-loops are dropped and duplicate edges collapsed.
     """
     if fmt == "edgelist":
@@ -120,19 +121,17 @@ def _decode(line) -> str:
     return line.decode("utf-8") if isinstance(line, bytes) else line
 
 
+def _node(index: dict[str, int], label: str) -> int:
+    """Dense index of a label, assigned in first-appearance order."""
+    i = index.get(label)
+    if i is None:
+        i = index[label] = len(index)
+    return i
+
+
 def _parse_edgelist(stream) -> Graph:
     index: dict[str, int] = {}
-    labels: list[str] = []
     pairs: list[tuple[int, int]] = []
-
-    def node(token: str) -> int:
-        i = index.get(token)
-        if i is None:
-            i = len(labels)
-            index[token] = i
-            labels.append(token)
-        return i
-
     for lineno, raw in enumerate(stream, start=1):
         line = _decode(raw).strip()
         if not line or line[0] in "#%":
@@ -141,27 +140,17 @@ def _parse_edgelist(stream) -> Graph:
         if len(tokens) != 2:
             raise GraphParseError(
                 f"expected two node tokens, got {len(tokens)}", lineno)
-        pairs.append((node(tokens[0]), node(tokens[1])))
-    if not labels:
+        pairs.append((_node(index, tokens[0]), _node(index, tokens[1])))
+    if not index:
         raise GraphParseError("empty graph")
-    return build_graph(len(labels), pairs, labels)
+    return build_graph(len(index), pairs, tuple(index))
 
 
 def _parse_mtx(stream) -> Graph:
     index: dict[str, int] = {}
-    labels: list[str] = []
     pairs: list[tuple[int, int]] = []
     declared: tuple[int, int] | None = None  # (nodes, entries)
     entries = 0
-
-    def node(token: str) -> int:
-        i = index.get(token)
-        if i is None:
-            i = len(labels)
-            index[token] = i
-            labels.append(token)
-        return i
-
     for lineno, raw in enumerate(stream, start=1):
         line = _decode(raw).strip()
         if not line or line[0] in "%#":
@@ -188,15 +177,19 @@ def _parse_mtx(stream) -> Graph:
         if entries > declared[1]:
             raise GraphParseError(
                 f"more than the declared {declared[1]} entries", lineno)
-        pairs.append((node(tokens[0]), node(tokens[1])))
+        try:
+            ends = [int(t) for t in tokens[:2]]
+        except ValueError:
+            raise GraphParseError("non-integer node index", lineno) from None
+        if not all(1 <= i <= declared[0] for i in ends):
+            raise GraphParseError(
+                f"node index out of range 1..{declared[0]}", lineno)
+        pairs.append((_node(index, str(ends[0])), _node(index, str(ends[1]))))
     if declared is None:
         raise GraphParseError("missing Matrix Market size line")
-    if len(labels) > declared[0]:
-        raise GraphParseError(
-            f"{len(labels)} distinct nodes exceed the declared {declared[0]}")
-    if not labels:
-        raise GraphParseError("empty graph")
-    return build_graph(len(labels), pairs, labels)
+    for i in range(1, declared[0] + 1):
+        _node(index, str(i))
+    return build_graph(len(index), pairs, tuple(index))
 
 
 def closed_neighborhood(g: Graph, v: int) -> set[int]:

@@ -76,11 +76,6 @@ class CnfFormula:
         for lits in clause_list:
             self.add_clause(lits)
 
-    def copy(self) -> "CnfFormula":
-        dup = CnfFormula(self.num_vars)
-        dup.clauses = [list(c) for c in self.clauses]
-        return dup
-
     def __len__(self) -> int:
         return len(self.clauses)
 

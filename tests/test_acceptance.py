@@ -126,7 +126,7 @@ def test_criterion_3_reduction_soundness(suite):
 def test_criterion_4_algorithm_correctness(suite_runs):
     start = time.monotonic()
     for g, k, inst, models, res in suite_runs:
-        assert is_gis_bruteforce(inst, res.selected_groups, models)
+        assert is_gis_bruteforce(inst, res.sensor_set, models)
         assert is_gics(g, res.sensor_set, k)
     elapsed = time.monotonic() - start
     assert elapsed < SUITE_SECONDS
@@ -140,8 +140,8 @@ def test_criterion_5_set_minimality(suite_runs):
         if res.budget_exhaustions:
             continue
         clean += 1
-        for v in res.selected_groups:
-            assert not is_gis_bruteforce(inst, res.selected_groups - {v}, models), \
+        for v in res.sensor_set:
+            assert not is_gis_bruteforce(inst, res.sensor_set - {v}, models), \
                 f"removable group {v} on n={g.n} k={k}"
     assert clean == len(suite_runs)  # default budget never exhausts here
     ok(5, f"no single group removable across {clean} exhaustion-free runs")

@@ -66,6 +66,14 @@ def test_encode_parse_error_exit_code(tmp_path):
                     "--output", str(tmp_path / "z.cnf")]) == 2
 
 
+@pytest.mark.parametrize("text", ["3 3 1\nfoo bar\n", "3 3 1\n1 7\n"])
+def test_solve_mtx_bad_index_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(text)
+    assert run_cli(["solve", str(bad), "--k", "1"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path):
     assert run_cli(["encode", str(tmp_path / "nope.edges"), "--k", "1",
                     "--output", str(tmp_path / "z.cnf")]) == 2

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gicsat.definability import build_definability_base, padoa_query
+from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.graph import build_graph, parse_graph
 from gicsat.satcore import (CnfFormula, SolveStatus, enumerate_models_projected,
@@ -39,7 +39,7 @@ def random_instance(rng, max_n=6, max_k=2):
 
 def test_base_variable_count_fig1():
     inst = encode_instance(fig1(), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     t = inst.formula.num_vars  # 10 projected + 4 counter auxiliaries
     assert t == 14
     assert ctx.base.num_vars == 2 * t + len(ctx.z_order)
@@ -49,7 +49,7 @@ def test_base_variable_count_fig1():
 
 def test_base_ranges_disjoint():
     inst = encode_instance(fig1(), 2)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     originals = set(range(1, inst.formula.num_vars + 1))
     hats = set(ctx.hat.values()) | set(ctx.hat_aux)
     inds = set(ctx.indicators.values())
@@ -61,7 +61,7 @@ def test_base_ranges_disjoint():
 def test_indicators_off_decouple_copies():
     # single isolated node: with no indicator assumed the copies move freely
     inst = encode_instance(build_graph(1, []), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     x = inst.varmap.x[0]
     out = solve(ctx.base, assumptions=[x, -ctx.hat[x]])
     assert out.status is SolveStatus.SAT
@@ -69,7 +69,7 @@ def test_indicators_off_decouple_copies():
 
 def test_indicators_on_couple_copies():
     inst = encode_instance(fig1(), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     assumptions = [ctx.indicators[z] for z in ctx.z_order]
     out = solve(ctx.base, assumptions=assumptions)
     assert out.status is SolveStatus.SAT
@@ -81,7 +81,7 @@ def test_indicators_on_couple_copies():
 
 def test_query_y_e_defined_by_first_four_groups():
     inst = encode_instance(fig1(), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     defining = group_vars(inst, "abcd")
     _, y_e = xy(inst, "e")
     assert ctx.query(defining, y_e).status is SolveStatus.UNSAT
@@ -89,7 +89,7 @@ def test_query_y_e_defined_by_first_four_groups():
 
 def test_query_x_c_not_defined_by_groups_a_b():
     inst = encode_instance(fig1(), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     defining = group_vars(inst, "ab")
     x_c, _ = xy(inst, "c")
     assert ctx.query(defining, x_c).status is SolveStatus.SAT
@@ -97,7 +97,7 @@ def test_query_x_c_not_defined_by_groups_a_b():
 
 def test_query_x_a_not_defined_by_group_c():
     inst = encode_instance(fig1(), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     defining = group_vars(inst, "c")
     x_a, _ = xy(inst, "a")
     assert ctx.query(defining, x_a).status is SolveStatus.SAT
@@ -105,7 +105,7 @@ def test_query_x_a_not_defined_by_group_c():
 
 def test_query_rejects_target_in_defining_set():
     inst = encode_instance(fig1(), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     x_a, _ = xy(inst, "a")
     with pytest.raises(ValueError):
         ctx.query({x_a}, x_a)
@@ -113,7 +113,7 @@ def test_query_rejects_target_in_defining_set():
 
 def test_query_rejects_non_projected_vars():
     inst = encode_instance(fig1(), 2)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     aux = inst.varmap.aux[0]
     with pytest.raises(ValueError):
         ctx.query({aux}, xy(inst, "a")[0])
@@ -142,7 +142,7 @@ def test_query_soundness_vs_truth_table():
     rng = random.Random(41)
     for _ in range(20):
         inst = random_instance(rng)
-        ctx = build_definability_base(inst)
+        ctx = DefinabilityContext(inst)
         z_all = list(inst.z_vars)
         for _ in range(8):
             target = rng.choice(z_all)
@@ -159,7 +159,7 @@ def test_query_monotone_in_defining_set():
     rng = random.Random(43)
     for _ in range(12):
         inst = random_instance(rng)
-        ctx = build_definability_base(inst)
+        ctx = DefinabilityContext(inst)
         z_all = list(inst.z_vars)
         target = rng.choice(z_all)
         rest = [z for z in z_all if z != target]
@@ -173,7 +173,7 @@ def test_y_vars_always_defined_by_everything_else():
     rng = random.Random(47)
     for _ in range(10):
         inst = random_instance(rng)
-        ctx = build_definability_base(inst)
+        ctx = DefinabilityContext(inst)
         for y in inst.varmap.y:
             defining = set(inst.z_vars) - {y}
             assert ctx.query(defining, y).status is SolveStatus.UNSAT
@@ -203,7 +203,7 @@ def test_indicator_query_equals_unconditional_equalities():
     rng = random.Random(53)
     for _ in range(10):
         inst = random_instance(rng, max_n=5)
-        ctx = build_definability_base(inst)
+        ctx = DefinabilityContext(inst)
         for target in rng.sample(list(inst.z_vars), min(4, len(inst.z_vars))):
             defining = set(inst.z_vars) - {target}
             via_ctx = ctx.query(defining, target).status
@@ -211,23 +211,23 @@ def test_indicator_query_equals_unconditional_equalities():
             assert via_ctx == via_direct
 
 
-def test_fresh_per_query_matches_shared_context():
+def test_fresh_context_matches_shared_context(fresh_context):
     rng = random.Random(59)
     inst = random_instance(rng, max_n=5)
-    shared = build_definability_base(inst)
-    fresh = build_definability_base(inst, fresh_per_query=True)
+    shared = DefinabilityContext(inst)
+    fresh = fresh_context(inst)
     z_all = list(inst.z_vars)
     for _ in range(10):
         target = rng.choice(z_all)
         rest = [z for z in z_all if z != target]
         defining = set(rng.sample(rest, rng.randint(0, len(rest))))
-        assert padoa_query(shared, defining, target).status == \
-            padoa_query(fresh, defining, target).status
+        assert shared.query(defining, target).status == \
+            fresh.query(defining, target).status
 
 
 def test_dump_dimacs_mentions_id_map():
     inst = encode_instance(fig1(), 1)
-    ctx = build_definability_base(inst)
+    ctx = DefinabilityContext(inst)
     buf = io.StringIO()
     ctx.dump_dimacs(buf)
     text = buf.getvalue()

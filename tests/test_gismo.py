@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gicsat.definability import build_definability_base
+from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.gismo import (GismoConfig, GisResult, group_order, run_gismo,
                           verify_result)
@@ -32,8 +32,7 @@ def random_instance(rng, n_range=(2, 7), k_max=3):
 
 
 def fake_result(nodes):
-    nodes = frozenset(nodes)
-    return GisResult(selected_groups=nodes, sensor_set=nodes,
+    return GisResult(sensor_set=frozenset(nodes),
                      per_group_log=(), budget_exhaustions=0,
                      total_queries=0, total_conflicts=0)
 
@@ -46,7 +45,6 @@ def test_fig1_worked_example_order():
     cfg = GismoConfig(order=order_by_labels(g, "edcba"), inner_order="y-first")
     res = run_gismo(inst, cfg)
     assert {g.labels[v] for v in res.sensor_set} == {"a", "c"}
-    assert res.selected_groups == res.sensor_set
     assert res.budget_exhaustions == 0
     # every group appears exactly once, in processing order
     assert [e.node for e in res.per_group_log] == list(order_by_labels(g, "edcba"))
@@ -71,7 +69,7 @@ def test_complete_graph_two_nodes_k2_keeps_both():
     inst = encode_instance(g, 2)
     res = run_gismo(inst, GismoConfig())
     assert res.sensor_set == frozenset({0, 1})
-    assert is_gis_bruteforce(inst, res.selected_groups)
+    assert is_gis_bruteforce(inst, res.sensor_set)
 
 
 def table_gismo(inst, node_order, inner_order="y-first"):
@@ -109,7 +107,7 @@ def test_fig1_input_order_matches_independent_minimizer():
     explicit = order_by_labels(g, "abcde")
     res = run_gismo(inst, GismoConfig(order=explicit))
     expected = table_gismo(inst, explicit)
-    assert res.selected_groups == frozenset(expected)
+    assert res.sensor_set == frozenset(expected)
     assert is_gics(g, res.sensor_set, 1)
     report = verify_result(inst, res)
     assert report.is_gis and report.minimal
@@ -122,7 +120,7 @@ def test_random_instances_match_independent_minimizer():
         order = list(range(inst.graph.n))
         rng.shuffle(order)
         res = run_gismo(inst, GismoConfig(order=tuple(order)))
-        assert res.selected_groups == frozenset(table_gismo(inst, order))
+        assert res.sensor_set == frozenset(table_gismo(inst, order))
 
 
 # ---- orders and config ----------------------------------------------------------
@@ -176,11 +174,11 @@ def test_output_is_gis_and_gics_random():
         inst = random_instance(rng)
         res = run_gismo(inst, GismoConfig(budget=HUGE))
         models = projected_models(inst)
-        assert is_gis_bruteforce(inst, res.selected_groups, models)
+        assert is_gis_bruteforce(inst, res.sensor_set, models)
         assert is_gics(inst.graph, res.sensor_set, inst.k)
         # unbounded budget: set-minimal
-        for v in res.selected_groups:
-            assert not is_gis_bruteforce(inst, res.selected_groups - {v}, models)
+        for v in res.sensor_set:
+            assert not is_gis_bruteforce(inst, res.sensor_set - {v}, models)
 
 
 def test_output_is_gis_even_with_tiny_budget():
@@ -190,7 +188,7 @@ def test_output_is_gis_even_with_tiny_budget():
         inst = random_instance(rng, n_range=(4, 8), k_max=3)
         res = run_gismo(inst, GismoConfig(budget=1))
         saw_exhaustion |= res.budget_exhaustions > 0
-        assert is_gis_bruteforce(inst, res.selected_groups)
+        assert is_gis_bruteforce(inst, res.sensor_set)
         assert is_gics(inst.graph, res.sensor_set, inst.k)
     assert saw_exhaustion, "budget=1 should exhaust on some query of this suite"
 
@@ -202,10 +200,10 @@ def test_budget_monotonicity_empirical():
         small = run_gismo(inst, GismoConfig(budget=1))
         large = run_gismo(inst, GismoConfig(budget=HUGE))
         if small.budget_exhaustions == 0:
-            assert small.selected_groups == large.selected_groups
+            assert small.sensor_set == large.sensor_set
             continue
         # proviso: each exhausted probe resolves UNSAT when given room
-        ctx = build_definability_base(inst)
+        ctx = DefinabilityContext(inst)
         candidates = set(inst.z_vars)
         support = set()
         proviso = True
@@ -219,7 +217,7 @@ def test_budget_monotonicity_empirical():
             if entry.kept:
                 support |= grp
         if proviso:
-            assert len(large.selected_groups) <= len(small.selected_groups)
+            assert len(large.sensor_set) <= len(small.sensor_set)
 
 
 def test_determinism_same_config_same_result():
@@ -242,9 +240,26 @@ def test_minimum_cardinality_lower_bounds_every_config():
                 assert best_size <= len(res.sensor_set)
 
 
-def test_fresh_per_query_same_answer():
+def without_conflicts(res):
+    """A result's decisions; conflict counts depend on the engine's history."""
+    return (res.sensor_set, res.budget_exhaustions, res.total_queries,
+            [(e.node, e.kept, [(r.var, r.status) for r in e.tested])
+             for e in res.per_group_log])
+
+
+def test_fresh_context_same_answer(fresh_context):
     g = fig1()
     inst = encode_instance(g, 1)
-    cfg = GismoConfig(order=order_by_labels(g, "edcba"), fresh_per_query=True)
-    res = run_gismo(inst, cfg)
+    cfg = GismoConfig(order=order_by_labels(g, "edcba"))
+    res = run_gismo(inst, cfg, fresh_context(inst))
     assert {g.labels[v] for v in res.sensor_set} == {"a", "c"}
+    assert without_conflicts(res) == without_conflicts(run_gismo(inst, cfg))
+    rng = random.Random(89)
+    for _ in range(12):
+        inst = random_instance(rng)
+        order = list(range(inst.graph.n))
+        rng.shuffle(order)
+        cfg = GismoConfig(order=tuple(order))
+        fresh = run_gismo(inst, cfg, fresh_context(inst))
+        assert fresh.budget_exhaustions == 0
+        assert without_conflicts(fresh) == without_conflicts(run_gismo(inst, cfg))

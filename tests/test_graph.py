@@ -77,6 +77,31 @@ def test_parse_mtx_node_overflow():
         parse_graph(io.StringIO("2 2 3\n1 2\n1 3\n3 2\n"), fmt="mtx")
 
 
+@pytest.mark.parametrize("text", [
+    "3 3 1\nfoo bar\n",   # not an integer
+    "3 3 1\n1 7\n",       # above rows
+    "3 3 1\n0 1\n",       # indices are 1-based
+    "3 3 1\n-1 2\n",
+    "3 3 1\n1.0 2\n",
+])
+def test_parse_mtx_rejects_bad_index(text):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(io.StringIO(text), fmt="mtx")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text,labels", [
+    ("5 5 2\n1 2\n2 3\n", ("1", "2", "3", "4", "5")),
+    ("4 4 1\n4 2\n", ("4", "2", "1", "3")),
+    ("3 3 0\n", ("1", "2", "3")),
+    ("2 2 1\n02 2\n", ("2", "1")),  # one node per index, labelled by it
+])
+def test_parse_mtx_keeps_declared_nodes(text, labels):
+    g = parse_graph(io.StringIO(text), fmt="mtx")
+    assert g.n == len(labels)
+    assert g.labels == labels
+
+
 def test_adjacency_sorted_and_symmetric():
     g = fig1()
     for v in range(g.n):
