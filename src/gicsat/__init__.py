@@ -10,9 +10,9 @@ from .graph import (Graph, GraphParseError, build_graph, closed_neighborhood,
                     closed_neighborhood_set, parse_graph, parse_graph_file)
 from .satcore import (CdclSolver, CnfFormula, ModelCapExceeded, SolveOutcome,
                       SolveStatus, check_model, enumerate_models_projected,
-                      make_engine, read_dimacs, solve, write_dimacs)
-from .encoder import (EncodedInstance, GroupPartition, VarMap,
-                      encode_cardinality, encode_detection, encode_instance)
+                      make_engine, read_dimacs, write_dimacs)
+from .encoder import (EncodedInstance, encode_cardinality, encode_detection,
+                      encode_instance)
 from .definability import DefinabilityContext
 from .gismo import (GismoConfig, GisResult, GroupLog, QueryRecord,
                     VerifyReport, run_gismo, verify_result)

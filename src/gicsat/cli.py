@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 
 from . import encoder, gismo, oracle
@@ -44,6 +44,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(convert):
+    """argparse type: a finite number above zero, read by `convert`."""
+    def parse(text: str):
+        value = convert(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number above 0, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="gicsat", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -62,7 +74,7 @@ def _build_parser() -> _Parser:
 
     sol = sub.add_parser("solve", help="compute a sensor placement")
     common(sol)
-    sol.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    sol.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET,
                      help="conflict budget per definability query")
     sol.add_argument("--order", default="input",
                      help="group order: input, deg-desc, deg-asc, random, "
@@ -73,8 +85,10 @@ def _build_parser() -> _Parser:
     sol.add_argument("--timing", action="store_true",
                      help="include wall-clock seconds in the record "
                           "(off by default so identical runs emit identical bytes)")
-    sol.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    sol.add_argument("--mem-limit", type=int, default=None, metavar="MB")
+    sol.add_argument("--time-limit", type=_positive(float), default=None,
+                     metavar="SECONDS")
+    sol.add_argument("--mem-limit", type=_positive(int), default=None,
+                     metavar="MB")
 
     ver = sub.add_parser("verify", help="check a sensor set against the graph")
     common(ver)
@@ -84,11 +98,11 @@ def _build_parser() -> _Parser:
     ben = sub.add_parser("bench", help="run a manifest of graphs and score PAR-2")
     ben.add_argument("manifest", help="file listing one graph path per line")
     ben.add_argument("--k", default="1", help="comma-separated k values")
-    ben.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    ben.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
-                     metavar="SECONDS")
-    ben.add_argument("--mem-limit", type=int, default=DEFAULT_MEM_LIMIT_MB,
-                     metavar="MB")
+    ben.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET)
+    ben.add_argument("--time-limit", type=_positive(float),
+                     default=DEFAULT_TIME_LIMIT, metavar="SECONDS")
+    ben.add_argument("--mem-limit", type=_positive(int),
+                     default=DEFAULT_MEM_LIMIT_MB, metavar="MB")
     ben.add_argument("--format", choices=("edgelist", "mtx"), default=None)
     ben.add_argument("--output", default=None, help="write the report JSON here")
     return p
@@ -122,7 +136,13 @@ def _apply_limits(time_limit: float | None, mem_limit_mb: int | None):
         def on_alarm(signum, frame):
             raise ResourceLimitError("time limit exceeded")
         previous = signal.signal(signal.SIGALRM, on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, time_limit)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, time_limit)
+        except OverflowError:  # beyond what the platform's timer can hold
+            signal.signal(signal.SIGALRM, previous)
+            for fn in restores:
+                fn()
+            raise UsageError(f"--time-limit {time_limit} is out of range") from None
         def disarm():
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -139,16 +159,19 @@ def _parse_order(text: str, g: Graph) -> str | tuple[int, ...]:
         return text
     labels = [t for t in text.split(",") if t]
     try:
-        return tuple(g.index_of(lab) for lab in labels)
+        order = tuple(g.index_of(lab) for lab in labels)
     except KeyError as exc:
         raise UsageError(f"--order: {exc.args[0]}") from exc
+    if sorted(order) != list(range(g.n)):
+        raise UsageError(f"--order must list each of the {g.n} nodes once")
+    return order
 
 
 def cmd_encode(args) -> int:
     g = _load_graph(args.graph, args.format)
     _check_k(g, args.k)
     inst = encoder.encode_instance(g, args.k)
-    groups = [(g.labels[v], *inst.partition.group_of(v)) for v in range(g.n)]
+    groups = [(g.labels[v], *inst.group_of(v)) for v in range(g.n)]
     with open(args.output, "w", encoding="utf-8") as fp:
         write_dimacs(inst.formula, fp,
                      comments=[f"graph {os.path.basename(args.graph)} "
@@ -163,8 +186,8 @@ def cmd_encode(args) -> int:
         "num_clauses": len(inst.formula),
         "detection_clauses": inst.detection_clauses,
         "cardinality_clauses": inst.cardinality_clauses,
-        "aux_vars": len(inst.varmap.aux),
-        "vars": {g.labels[v]: {"x": inst.varmap.x[v], "y": inst.varmap.y[v]}
+        "aux_vars": len(inst.aux),
+        "vars": {g.labels[v]: {"x": inst.x[v], "y": inst.y[v]}
                  for v in range(g.n)},
     }
     sidecar_path = os.path.splitext(args.output)[0] + ".json"
@@ -264,25 +287,23 @@ def par2_score(records: list[dict], time_limit: float) -> float:
     return total / len(records)
 
 
-def _bench_one(graph_path: str, fmt: str | None, k: int, budget: int,
-               time_limit: float, mem_limit: int, tag: str) -> dict:
-    record = {"instance": os.path.basename(graph_path), "k": k, "method": tag,
-              "n": None, "m": None, "status": None, "wall_seconds": None,
-              "sensor_count": None, "queries": None, "conflicts": None,
-              "budget_exhaustions": None, "verified": None}
-    try:
-        g = _load_graph(graph_path, fmt)
-        record["n"], record["m"] = g.n, g.m
-    except GraphParseError as exc:
+def _bench_one(graph_path: str, g: Graph | None, error: str | None,
+               fmt: str | None, k: int, budget: int, time_limit: float,
+               mem_limit: int) -> dict:
+    """Solve g in a child process; g is None when parsing failed with error."""
+    record = {"instance": os.path.basename(graph_path), "k": k,
+              "method": "gismo-bundled", "n": None, "m": None, "status": None,
+              "wall_seconds": None, "sensor_count": None, "queries": None,
+              "conflicts": None, "budget_exhaustions": None, "verified": None}
+    if g is None:
         record["status"] = "encode-fail"
-        record["error"] = str(exc)
+        record["error"] = error
         return record
+    record["n"], record["m"] = g.n, g.m
 
-    fd, out_path = tempfile.mkstemp(prefix="gicsat-bench-", suffix=".json")
-    os.close(fd)
     cmd = [sys.executable, "-m", "gicsat", "solve", graph_path,
            "--k", str(k), "--budget", str(budget),
-           "--mem-limit", str(mem_limit), "--output", out_path]
+           "--mem-limit", str(mem_limit)]
     if fmt:
         cmd += ["--format", fmt]
     start = time.monotonic()
@@ -292,24 +313,17 @@ def _bench_one(graph_path: str, fmt: str | None, k: int, budget: int,
     except subprocess.TimeoutExpired:
         record["status"] = "timeout"
         record["wall_seconds"] = time_limit
-        os.remove(out_path)
         return record
-    finally:
-        elapsed = time.monotonic() - start
-    record["wall_seconds"] = elapsed
+    record["wall_seconds"] = time.monotonic() - start
     if proc.returncode == EXIT_RESOURCE:
         record["status"] = ("memout" if "memory" in proc.stderr.lower()
                             else "timeout")
-        os.remove(out_path)
         return record
     if proc.returncode != EXIT_OK:
         record["status"] = "encode-fail"
         record["error"] = proc.stderr.strip()
-        os.remove(out_path)
         return record
-    with open(out_path, "r", encoding="utf-8") as fp:
-        solved = json.load(fp)
-    os.remove(out_path)
+    solved = json.loads(proc.stdout)
     record["status"] = "solved"
     record["sensor_count"] = solved["sensor_count"]
     record["queries"] = solved["queries"]
@@ -340,27 +354,22 @@ def cmd_bench(args) -> int:
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
 
     records = []
+    ratios: dict[str, dict[str, float]] = {}
     for path in paths:
+        try:
+            g, error = _load_graph(path, args.format), None
+        except GraphParseError as exc:
+            g, error = None, str(exc)
         for k in ks:
-            rec = _bench_one(path, args.format, k, args.budget,
-                             args.time_limit, args.mem_limit, tag="gismo-bundled")
+            rec = _bench_one(path, g, error, args.format, k, args.budget,
+                             args.time_limit, args.mem_limit)
             records.append(rec)
             print(f"{rec['instance']} k={k}: {rec['status']}"
                   + (f" |S|={rec['sensor_count']}"
                      if rec["status"] == "solved" else ""))
-
-    ratios: dict[str, dict[str, float]] = {}
-    for path in paths:
-        try:
-            g = _load_graph(path, args.format)
-        except GraphParseError:
-            continue
-        counts = {}
-        for k in sorted(set(ks) | {1}):
-            if k > g.n:
-                continue
-            counts[k] = len(encoder.encode_instance(g, k).formula)
-        if 1 in counts:
+        if g is not None:
+            counts = {k: len(encoder.encode_instance(g, k).formula)
+                      for k in sorted(set(ks) | {1}) if k <= g.n}
             ratios[os.path.basename(path)] = {
                 str(k): counts[k] / counts[1] for k in counts}
 

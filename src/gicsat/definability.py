@@ -19,10 +19,10 @@ unsatisfiable, which would be unsound here.
 
 from __future__ import annotations
 
-from typing import IO, Iterable
+from typing import Iterable
 
 from .encoder import EncodedInstance
-from .satcore import CnfFormula, SolveOutcome, make_engine, write_dimacs
+from .satcore import CnfFormula, SolveOutcome, make_engine
 
 
 class DefinabilityContext:
@@ -53,7 +53,7 @@ class DefinabilityContext:
         self.base = base
         self.z_order = z_order
         self.hat = {z: z + shift for z in z_order}
-        self.hat_aux = [a + shift for a in inst.varmap.aux]
+        self.hat_aux = [a + shift for a in inst.aux]
         self.indicators = indicators
         self._engine = make_engine(base, engine)
 
@@ -75,11 +75,3 @@ class DefinabilityContext:
         assumptions = [self.indicators[z] for z in self.z_order if z in defining]
         assumptions += [target, -self.hat[target]]
         return self._engine.solve(assumptions, budget)
-
-    def dump_dimacs(self, fp: IO[str]) -> None:
-        """Debug dump of the base formula with the z/copy/indicator id map."""
-        comments = ["zmap <z> <copy> <indicator>"]
-        comments += [f"zmap {z} {self.hat[z]} {self.indicators[z]}"
-                     for z in self.z_order]
-        write_dimacs(self.base, fp, comments=comments)
-

@@ -22,61 +22,40 @@ from .satcore import CnfFormula
 
 
 @dataclass(frozen=True)
-class VarMap:
-    """x/y/aux variable ids; x[v] and y[v] are indexed by node."""
-
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    aux: tuple[int, ...]
-
-    @property
-    def total_vars(self) -> int:
-        return len(self.x) + len(self.y) + len(self.aux)
-
-
-@dataclass(frozen=True)
-class GroupPartition:
-    """Per-node groups {x_v, y_v}; their union is the projection set Z."""
-
-    groups: tuple[tuple[int, int], ...]
-
-    def group_of(self, v: int) -> tuple[int, int]:
-        return self.groups[v]
-
-    def support(self, nodes) -> set[int]:
-        out: set[int] = set()
-        for v in nodes:
-            out.update(self.groups[v])
-        return out
-
-    @property
-    def z_vars(self) -> tuple[int, ...]:
-        return tuple(sorted(var for grp in self.groups for var in grp))
-
-
-@dataclass(frozen=True)
 class EncodedInstance:
+    """The formula and its variable layout.
+
+    x[v] and y[v] are node v's variables and form its group {x_v, y_v};
+    aux holds the counter registers, which belong to no group.
+    """
+
     graph: Graph
     k: int
     formula: CnfFormula
-    varmap: VarMap
-    partition: GroupPartition
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    aux: tuple[int, ...]
     detection_clauses: int
     cardinality_clauses: int
 
+    def group_of(self, v: int) -> tuple[int, int]:
+        return self.x[v], self.y[v]
+
     @property
     def z_vars(self) -> tuple[int, ...]:
-        return self.partition.z_vars
+        """The projection set, ascending: x is 1..n and y is n+1..2n."""
+        return self.x + self.y
 
 
-def encode_detection(g: Graph, vm: VarMap) -> list[list[int]]:
+def encode_detection(g: Graph, x: Sequence[int],
+                     y: Sequence[int]) -> list[list[int]]:
     """Detection clauses: for each v, y_v <-> OR_{u in N1+(v)} x_u."""
     clauses: list[list[int]] = []
     for v in range(g.n):
         closed = sorted((v, *g.adjacency[v]))
-        clauses.append([-vm.y[v]] + [vm.x[u] for u in closed])
+        clauses.append([-y[v]] + [x[u] for u in closed])
         for u in closed:
-            clauses.append([-vm.x[u], vm.y[v]])
+            clauses.append([-x[u], y[v]])
     return clauses
 
 
@@ -127,7 +106,7 @@ def cardinality_aux_count(n: int, k: int) -> int:
 
 
 def encode_instance(g: Graph, k: int) -> EncodedInstance:
-    """Build the full instance: detection plus cardinality, variable maps, groups."""
+    """Build the full instance: detection plus cardinality, and the variable layout."""
     if g.n == 0:
         raise ValueError("graph has no nodes")
     if not 1 <= k <= g.n:
@@ -135,14 +114,10 @@ def encode_instance(g: Graph, k: int) -> EncodedInstance:
     f = CnfFormula()
     x = tuple(f.new_var() for _ in range(g.n))
     y = tuple(f.new_var() for _ in range(g.n))
-    vm_partial = VarMap(x=x, y=y, aux=())
-    detection = encode_detection(g, vm_partial)
+    detection = encode_detection(g, x, y)
     card, aux = encode_cardinality(x, k, f.new_var)
     f.add_clauses(detection)
     f.add_clauses(card)
-    vm = VarMap(x=x, y=y, aux=tuple(aux))
-    partition = GroupPartition(groups=tuple((x[v], y[v]) for v in range(g.n)))
-    return EncodedInstance(graph=g, k=k, formula=f, varmap=vm,
-                           partition=partition,
+    return EncodedInstance(graph=g, k=k, formula=f, x=x, y=y, aux=tuple(aux),
                            detection_clauses=len(detection),
                            cardinality_clauses=len(card))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import oracle
 from .definability import DefinabilityContext
 from .encoder import EncodedInstance
 from .satcore import SolveStatus
@@ -106,8 +107,8 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
     queries = 0
     conflicts = 0
     for v in group_order(inst, cfg):
-        x_var, y_var = inst.partition.group_of(v)
-        group = (x_var, y_var)
+        group = inst.group_of(v)
+        x_var, y_var = group
         candidates.difference_update(group)
         defining = candidates | selected_support
         inner = (y_var, x_var) if cfg.inner_order == "y-first" else (x_var, y_var)
@@ -152,8 +153,6 @@ def verify_result(inst: EncodedInstance, res: GisResult,
     reports every single group whose removal would preserve that property
     (none expected when no query exhausted its budget).
     """
-    from . import oracle  # local import; oracle builds on this module's types
-
     models = oracle.projected_models(inst, cap=cap)
     witness = oracle.find_gis_collision(inst, res.sensor_set, models)
     removable = [v for v in sorted(res.sensor_set)

@@ -93,8 +93,9 @@ def parse_graph(stream: IO[str] | IO[bytes], fmt: str = "edgelist") -> Graph:
                   conventions included) mapped to dense indices by first
                   appearance.
       mtx      -- Matrix Market coordinate format: '%' comments, one size
-                  line 'rows cols entries', then one index pair per line
-                  (extra columns such as weights are ignored).  Indices are
+                  line 'rows cols entries', then exactly `entries` index
+                  pairs, one per line (extra columns such as weights are
+                  ignored).  Indices are
                   1-based by the format's spec and must lie in 1..rows; the
                   label of a node is its index.  Nodes are numbered by first
                   appearance, then the declared nodes without an entry
@@ -169,6 +170,8 @@ def _parse_mtx(stream) -> Graph:
                     f"adjacency matrix must be square, got {rows}x{cols}", lineno)
             if rows <= 0:
                 raise GraphParseError("empty graph", lineno)
+            if nnz < 0:
+                raise GraphParseError("negative entry count", lineno)
             declared = (rows, nnz)
             continue
         if len(tokens) < 2:
@@ -187,6 +190,10 @@ def _parse_mtx(stream) -> Graph:
         pairs.append((_node(index, str(ends[0])), _node(index, str(ends[1]))))
     if declared is None:
         raise GraphParseError("missing Matrix Market size line")
+    if entries < declared[1]:
+        raise GraphParseError(
+            f"file ends after {entries} of the declared {declared[1]} entries",
+            lineno)
     for i in range(1, declared[0] + 1):
         _node(index, str(i))
     return build_graph(len(index), pairs, tuple(index))

@@ -140,7 +140,7 @@ def find_gis_collision(inst: EncodedInstance, group_nodes: Iterable[int],
     """
     if models is None:
         models = projected_models(inst, cap=cap)
-    support = inst.partition.support(group_nodes)
+    support = {var for v in group_nodes for var in inst.group_of(v)}
     positions = [i for i, var in enumerate(inst.z_vars) if var in support]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for row in models:

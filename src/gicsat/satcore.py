@@ -109,7 +109,6 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = []
         self.learned_ids: list[int] = []
         self.num_original = 0
-        self.total_conflicts = 0
         if formula is not None:
             for _ in range(formula.num_vars):
                 self.new_var()
@@ -373,7 +372,6 @@ class CdclSolver:
             confl = self._propagate()
             if confl is not None:
                 conflicts += 1
-                self.total_conflicts += 1
                 conflicts_since_restart += 1
                 if not self.trail_lim:
                     self.ok = False
@@ -444,12 +442,6 @@ def make_engine(formula: CnfFormula, name: str = "bundled"):
         raise ValueError(f"unknown solver engine {name!r}; "
                          f"available: {sorted(ENGINES)}") from None
     return factory(formula)
-
-
-def solve(f: CnfFormula, assumptions: Sequence[int] = (),
-          budget: int | None = None, engine: str = "bundled") -> SolveOutcome:
-    """One-shot solve of a formula in a fresh context."""
-    return make_engine(f, engine).solve(assumptions, budget)
 
 
 class ModelCapExceeded(RuntimeError):

@@ -95,7 +95,7 @@ def test_criterion_2_truth_table_rows():
     for x_true, y_true in table.values():
         lits = []
         for v in range(g.n):
-            xv, yv = inst.partition.group_of(v)
+            xv, yv = inst.group_of(v)
             lits.append(xv if g.labels[v] in x_true else -xv)
             lits.append(yv if g.labels[v] in y_true else -yv)
         expected.add(tuple(sorted(lits, key=abs)))

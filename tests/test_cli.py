@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -66,7 +67,8 @@ def test_encode_parse_error_exit_code(tmp_path):
                     "--output", str(tmp_path / "z.cnf")]) == 2
 
 
-@pytest.mark.parametrize("text", ["3 3 1\nfoo bar\n", "3 3 1\n1 7\n"])
+@pytest.mark.parametrize("text", ["3 3 1\nfoo bar\n", "3 3 1\n1 7\n",
+                                  "4 4 3\n1 2\n"])
 def test_solve_mtx_bad_index_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "bad.mtx"
     bad.write_text(text)
@@ -129,6 +131,31 @@ def test_solve_timing_flag_adds_wall_seconds(tmp_path, capsys):
 def test_solve_unknown_order_label(tmp_path, capsys):
     assert run_cli(["solve", FIG1, "--k", "1", "--order", "q,w,e,r,t"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["solve", FIG1, "--k", "1"],
+                                     ["bench", FIG1]])
+@pytest.mark.parametrize("flag,value", [
+    ("--budget", "0"), ("--time-limit", "0"), ("--time-limit", "-1"),
+    ("--time-limit", "nan"), ("--mem-limit", "0"), ("--mem-limit", "-5"),
+])
+def test_non_positive_numbers_are_usage_errors(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*command, flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be a finite number above 0" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--order", "a,b"],
+                                   ["--order", "a,a,b,c,d"],
+                                   ["--time-limit", "1e12"]])
+def test_solve_order_and_time_limit_usage_errors(capsys, extra):
+    handler = signal.getsignal(signal.SIGALRM)
+    assert run_cli(["solve", FIG1, "--k", "1", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gicsat: error:") and err.count("\n") == 1
+    assert signal.getsignal(signal.SIGALRM) is handler
 
 
 def test_solve_time_limit_exit_code(tmp_path, capsys):
@@ -241,6 +268,22 @@ def test_bench_timeout_scores_double_limit(tmp_path, capsys):
     (record,) = report["records"]
     assert record["status"] == "timeout"
     assert report["par2"] == pytest.approx(0.1)
+
+
+def test_bench_unparsable_graph_record(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("a b c\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{bad}\n")
+    report_path = tmp_path / "report.json"
+    assert run_cli(["bench", str(manifest), "--k", "1,2",
+                    "--output", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    assert [r["status"] for r in report["records"]] == ["encode-fail"] * 2
+    assert all("line 1" in r["error"] and r["n"] is None
+               for r in report["records"])
+    assert report["clause_ratio_vs_k"] == {}
 
 
 def test_bench_bad_k_list(tmp_path, capsys):

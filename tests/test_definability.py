@@ -6,8 +6,8 @@ import pytest
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.graph import build_graph, parse_graph
-from gicsat.satcore import (CnfFormula, SolveStatus, enumerate_models_projected,
-                            solve)
+from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus,
+                            enumerate_models_projected)
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
 
@@ -18,7 +18,7 @@ def fig1():
 
 def xy(inst, label):
     v = inst.graph.index_of(label)
-    return inst.varmap.x[v], inst.varmap.y[v]
+    return inst.x[v], inst.y[v]
 
 
 def group_vars(inst, labels):
@@ -44,7 +44,7 @@ def test_base_variable_count_fig1():
     assert t == 14
     assert ctx.base.num_vars == 2 * t + len(ctx.z_order)
     assert len(ctx.z_order) == 10
-    assert len(ctx.hat_aux) == len(inst.varmap.aux)
+    assert len(ctx.hat_aux) == len(inst.aux)
 
 
 def test_base_ranges_disjoint():
@@ -62,8 +62,8 @@ def test_indicators_off_decouple_copies():
     # single isolated node: with no indicator assumed the copies move freely
     inst = encode_instance(build_graph(1, []), 1)
     ctx = DefinabilityContext(inst)
-    x = inst.varmap.x[0]
-    out = solve(ctx.base, assumptions=[x, -ctx.hat[x]])
+    x = inst.x[0]
+    out = CdclSolver(ctx.base).solve(assumptions=[x, -ctx.hat[x]])
     assert out.status is SolveStatus.SAT
 
 
@@ -71,7 +71,7 @@ def test_indicators_on_couple_copies():
     inst = encode_instance(fig1(), 1)
     ctx = DefinabilityContext(inst)
     assumptions = [ctx.indicators[z] for z in ctx.z_order]
-    out = solve(ctx.base, assumptions=assumptions)
+    out = CdclSolver(ctx.base).solve(assumptions=assumptions)
     assert out.status is SolveStatus.SAT
     for z in ctx.z_order:
         assert out.model[z] == out.model[ctx.hat[z]]
@@ -114,7 +114,7 @@ def test_query_rejects_target_in_defining_set():
 def test_query_rejects_non_projected_vars():
     inst = encode_instance(fig1(), 2)
     ctx = DefinabilityContext(inst)
-    aux = inst.varmap.aux[0]
+    aux = inst.aux[0]
     with pytest.raises(ValueError):
         ctx.query({aux}, xy(inst, "a")[0])
     with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_y_vars_always_defined_by_everything_else():
     for _ in range(10):
         inst = random_instance(rng)
         ctx = DefinabilityContext(inst)
-        for y in inst.varmap.y:
+        for y in inst.y:
             defining = set(inst.z_vars) - {y}
             assert ctx.query(defining, y).status is SolveStatus.UNSAT
 
@@ -207,7 +207,8 @@ def test_indicator_query_equals_unconditional_equalities():
         for target in rng.sample(list(inst.z_vars), min(4, len(inst.z_vars))):
             defining = set(inst.z_vars) - {target}
             via_ctx = ctx.query(defining, target).status
-            via_direct = solve(direct_padoa_formula(inst, target)).status
+            direct = CdclSolver(direct_padoa_formula(inst, target))
+            via_direct = direct.solve().status
             assert via_ctx == via_direct
 
 
@@ -224,12 +225,3 @@ def test_fresh_context_matches_shared_context(fresh_context):
         assert shared.query(defining, target).status == \
             fresh.query(defining, target).status
 
-
-def test_dump_dimacs_mentions_id_map():
-    inst = encode_instance(fig1(), 1)
-    ctx = DefinabilityContext(inst)
-    buf = io.StringIO()
-    ctx.dump_dimacs(buf)
-    text = buf.getvalue()
-    assert text.count("c zmap") == len(ctx.z_order) + 1
-    assert f"p cnf {ctx.base.num_vars} {len(ctx.base.clauses)}" in text

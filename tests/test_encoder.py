@@ -41,7 +41,7 @@ def test_detection_clause_count_fig1():
 def test_detection_single_isolated_node():
     g = build_graph(1, [])
     inst = encode_instance(g, 1)
-    x, y = inst.varmap.x[0], inst.varmap.y[0]
+    x, y = inst.x[0], inst.y[0]
     assert inst.formula.clauses == [[-y, x], [-x, y]]
 
 
@@ -139,18 +139,17 @@ def test_encode_instance_rejects_bad_k():
 def test_variable_numbering_deterministic():
     g = fig1()
     inst = encode_instance(g, 2)
-    assert inst.varmap.x == (1, 2, 3, 4, 5)
-    assert inst.varmap.y == (6, 7, 8, 9, 10)
-    assert inst.varmap.aux == tuple(range(11, 11 + 4 * 2))
+    assert inst.x == (1, 2, 3, 4, 5)
+    assert inst.y == (6, 7, 8, 9, 10)
+    assert inst.aux == tuple(range(11, 11 + 4 * 2))
     assert inst.z_vars == tuple(range(1, 11))
-    assert inst.partition.group_of(0) == (1, 6)
+    assert inst.group_of(0) == (1, 6)
 
 
 def test_varmap_ranges_disjoint():
     inst = encode_instance(fig1(), 2)
-    vm = inst.varmap
-    all_vars = list(vm.x) + list(vm.y) + list(vm.aux)
-    assert len(all_vars) == len(set(all_vars)) == vm.total_vars
+    all_vars = list(inst.x) + list(inst.y) + list(inst.aux)
+    assert len(all_vars) == len(set(all_vars)) == inst.formula.num_vars
 
 
 TABLE1 = {
@@ -169,7 +168,7 @@ def table1_rows(inst):
     rows = set()
     for x_true, y_true in TABLE1.values():
         lits = []
-        for lab_set, vars_ in ((x_true, inst.varmap.x), (y_true, inst.varmap.y)):
+        for lab_set, vars_ in ((x_true, inst.x), (y_true, inst.y)):
             for v in range(g.n):
                 var = vars_[v]
                 lits.append(var if g.labels[v] in lab_set else -var)
@@ -189,7 +188,7 @@ def test_projected_model_count_k_equals_n():
     got = enumerate_models_projected(inst.formula, inst.z_vars)
     assert len(got) == 32  # cardinality vacuous: all subsets admitted
     assert inst.cardinality_clauses == 0
-    assert inst.varmap.aux == ()
+    assert inst.aux == ()
 
 
 def test_projected_model_count_k2():
@@ -217,10 +216,10 @@ def test_functional_definedness_random():
         assert len(rows) == sum(comb(n, i) for i in range(k + 1))
         for row in rows:
             val = {abs(l): l > 0 for l in row}
-            failed = {v for v in range(n) if val[inst.varmap.x[v]]}
+            failed = {v for v in range(n) if val[inst.x[v]]}
             assert len(failed) <= k
             for v in range(n):
-                assert val[inst.varmap.y[v]] == bool(failed & masks[v])
+                assert val[inst.y[v]] == bool(failed & masks[v])
 
 
 def test_projection_monotone_in_k():

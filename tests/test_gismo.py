@@ -2,11 +2,13 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
-from gicsat.gismo import (GismoConfig, GisResult, group_order, run_gismo,
-                          verify_result)
+from gicsat.gismo import (INNER_ORDERS, GismoConfig, GisResult, group_order,
+                          run_gismo, verify_result)
 from gicsat.graph import build_graph, parse_graph
 from gicsat.oracle import (is_gics, is_gis_bruteforce, min_gics_exhaustive,
                            projected_models)
@@ -90,7 +92,7 @@ def table_gismo(inst, node_order, inner_order="y-first"):
     candidates = set(inst.z_vars)
     selected, support = set(), set()
     for v in node_order:
-        x_var, y_var = inst.partition.group_of(v)
+        x_var, y_var = inst.group_of(v)
         candidates -= {x_var, y_var}
         inner = (y_var, x_var) if inner_order == "y-first" else (x_var, y_var)
         for z in inner:
@@ -121,6 +123,32 @@ def test_random_instances_match_independent_minimizer():
         rng.shuffle(order)
         res = run_gismo(inst, GismoConfig(order=tuple(order)))
         assert res.sensor_set == frozenset(table_gismo(inst, order))
+
+
+@st.composite
+def drawn_runs(draw):
+    """A graph on at most 6 nodes, any k, an explicit order, an inner order.
+
+    Edge pairs may repeat or be self-loops, and nodes may stay isolated.
+    """
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    k = draw(st.integers(1, n))
+    order = tuple(draw(st.permutations(range(n))))
+    return build_graph(n, pairs), k, order, draw(st.sampled_from(INNER_ORDERS))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(drawn_runs())
+def test_drawn_graphs_match_independent_minimizer(run):
+    g, k, order, inner = run
+    inst = encode_instance(g, k)
+    res = run_gismo(inst, GismoConfig(order=order, inner_order=inner))
+    assert res.sensor_set == frozenset(table_gismo(inst, order, inner))
+    assert res.budget_exhaustions == 0
+    assert is_gics(g, res.sensor_set, k)
+    assert verify_result(inst, res).minimal
 
 
 # ---- orders and config ----------------------------------------------------------
@@ -208,7 +236,7 @@ def test_budget_monotonicity_empirical():
         support = set()
         proviso = True
         for entry in small.per_group_log:
-            grp = set(inst.partition.group_of(entry.node))
+            grp = set(inst.group_of(entry.node))
             candidates -= grp
             for rec in entry.tested:
                 if rec.status is SolveStatus.BUDGET_EXHAUSTED:

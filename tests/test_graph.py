@@ -72,6 +72,23 @@ def test_parse_mtx_too_many_entries():
         parse_graph(io.StringIO("2 2 1\n1 2\n2 1\n"), fmt="mtx")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("4 4 3\n1 2\n", 2),
+    ("3 3 1\n", 1),
+    ("3 3 2\n1 2\n% trailing comment\n", 3),
+])
+def test_parse_mtx_too_few_entries(text, line):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(io.StringIO(text), fmt="mtx")
+    assert err.value.line == line
+
+
+def test_parse_mtx_negative_entry_count():
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(io.StringIO("3 3 -1\n"), fmt="mtx")
+    assert err.value.line == 1
+
+
 def test_parse_mtx_node_overflow():
     with pytest.raises(GraphParseError):
         parse_graph(io.StringIO("2 2 3\n1 2\n1 3\n3 2\n"), fmt="mtx")

@@ -147,7 +147,7 @@ def test_is_gis_bruteforce_matches_pairwise_definition():
     models = projected_models(inst)
     for labels in ("", "a", "b", "ac", "cd", "abc", "abcde"):
         group_nodes = by_label(g, labels)
-        support = inst.partition.support(group_nodes)
+        support = {var for v in group_nodes for var in inst.group_of(v)}
         pos = [i for i, var in enumerate(inst.z_vars) if var in support]
         pairwise = all(
             (tuple(r1[i] for i in pos) == tuple(r2[i] for i in pos))

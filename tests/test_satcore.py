@@ -6,7 +6,7 @@ import pytest
 from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
                             SolveStatus, check_model,
                             enumerate_models_projected, make_engine,
-                            read_dimacs, solve, write_dimacs)
+                            read_dimacs, write_dimacs)
 
 
 # ---- independent brute-force oracles --------------------------------------
@@ -100,14 +100,14 @@ def test_solve_unit_against_assumption():
     f = CnfFormula()
     x1 = f.new_var()
     f.add_clause([x1])
-    assert solve(f, assumptions=[-x1]).status is SolveStatus.UNSAT
+    assert CdclSolver(f).solve(assumptions=[-x1]).status is SolveStatus.UNSAT
 
 
 def test_solve_simple_sat():
     f = CnfFormula()
     x1, x2 = f.new_vars(2)
     f.add_clause([x1, x2])
-    out = solve(f)
+    out = CdclSolver(f).solve()
     assert out.status is SolveStatus.SAT
     assert check_model(f, out.model)
 
@@ -120,7 +120,7 @@ def test_solve_models_verify_random():
         if f.num_vars >= 2 and rng.random() < 0.5:
             vs = rng.sample(range(1, f.num_vars + 1), rng.randint(1, 2))
             assumptions = [v if rng.random() < 0.5 else -v for v in vs]
-        got = solve(f, assumptions=assumptions)
+        got = CdclSolver(f).solve(assumptions=assumptions)
         expect = brute_force_solve(f, assumptions)
         if expect is None:
             assert got.status is SolveStatus.UNSAT
@@ -164,16 +164,16 @@ def test_solve_incremental_added_clauses():
 
 def test_budget_exhaustion_and_unsat_monotone():
     f = pigeonhole(5, 4)
-    full = solve(f)
+    full = CdclSolver(f).solve()
     assert full.status is SolveStatus.UNSAT
     assert full.conflicts_used >= 2
-    tiny = solve(f, budget=1)
+    tiny = CdclSolver(f).solve(budget=1)
     assert tiny.status is SolveStatus.BUDGET_EXHAUSTED
     assert tiny.conflicts_used == 1
     # once UNSAT at some budget, every larger budget agrees (fresh contexts)
     b = full.conflicts_used
     for budget in (b, 2 * b, 10 * b):
-        again = solve(f, budget=budget)
+        again = CdclSolver(f).solve(budget=budget)
         assert again.status is SolveStatus.UNSAT
         assert again.conflicts_used == full.conflicts_used
 
@@ -182,7 +182,8 @@ def test_huge_budget_never_exhausts():
     rng = random.Random(3)
     for _ in range(40):
         f = random_formula(rng)
-        assert solve(f, budget=1 << 40).status is not SolveStatus.BUDGET_EXHAUSTED
+        out = CdclSolver(f).solve(budget=1 << 40)
+        assert out.status is not SolveStatus.BUDGET_EXHAUSTED
 
 
 def test_budget_validation():
@@ -190,7 +191,7 @@ def test_budget_validation():
     f.new_var()
     f.add_clause([1])
     with pytest.raises(ValueError):
-        solve(f, budget=0)
+        CdclSolver(f).solve(budget=0)
 
 
 # ---- projected enumeration ---------------------------------------------------
