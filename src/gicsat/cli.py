@@ -168,6 +168,10 @@ def _parse_order(text: str, g: Graph) -> str | tuple[int, ...]:
 
 
 def cmd_encode(args) -> int:
+    sidecar_path = os.path.splitext(args.output)[0] + ".json"
+    if sidecar_path == args.output:
+        raise UsageError(f"--output {args.output!r} would be overwritten by "
+                         f"its JSON sidecar; use another extension, e.g. .cnf")
     g = _load_graph(args.graph, args.format)
     _check_k(g, args.k)
     inst = encoder.encode_instance(g, args.k)
@@ -190,7 +194,6 @@ def cmd_encode(args) -> int:
         "vars": {g.labels[v]: {"x": inst.x[v], "y": inst.y[v]}
                  for v in range(g.n)},
     }
-    sidecar_path = os.path.splitext(args.output)[0] + ".json"
     with open(sidecar_path, "w", encoding="utf-8") as fp:
         fp.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output} and {sidecar_path}: "
@@ -354,24 +357,21 @@ def cmd_bench(args) -> int:
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
 
     records = []
-    ratios: dict[str, dict[str, float]] = {}
     for path in paths:
         try:
             g, error = _load_graph(path, args.format), None
         except GraphParseError as exc:
             g, error = None, str(exc)
         for k in ks:
+            if g is not None and k > g.n:
+                print(f"{os.path.basename(path)} k={k}: skipped (n={g.n})")
+                continue
             rec = _bench_one(path, g, error, args.format, k, args.budget,
                              args.time_limit, args.mem_limit)
             records.append(rec)
             print(f"{rec['instance']} k={k}: {rec['status']}"
                   + (f" |S|={rec['sensor_count']}"
                      if rec["status"] == "solved" else ""))
-        if g is not None:
-            counts = {k: len(encoder.encode_instance(g, k).formula)
-                      for k in sorted(set(ks) | {1}) if k <= g.n}
-            ratios[os.path.basename(path)] = {
-                str(k): counts[k] / counts[1] for k in counts}
 
     report = {
         "records": records,
@@ -379,7 +379,6 @@ def cmd_bench(args) -> int:
         "par2_by_k": {str(k): par2_score([r for r in records if r["k"] == k],
                                          args.time_limit) for k in ks},
         "time_limit": args.time_limit,
-        "clause_ratio_vs_k": ratios,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)

@@ -2,9 +2,13 @@
 
 The engine is a conflict-driven clause-learning solver with two-literal
 watching, first-UIP learning, VSIDS-style branching, phase saving and Luby
-restarts.  It accepts assumption literals and a conflict budget per call,
-and keeps learned clauses across calls (learned clauses are entailed by the
-clause database alone, never by assumptions, so reuse is sound).
+restarts.  It is built once from a CnfFormula, whose variable count fixes
+its size; after that its surface is add_clause(lits) and
+solve(assumptions, budget).  Each solve call takes assumption literals and
+a conflict budget, and learned clauses are kept across calls (they are
+entailed by the clause database alone, never by assumptions, so reuse is
+sound).  Per-literal state lives in flat lists indexed by the signed
+literal itself (see CdclSolver).
 
 Everything here is deterministic: no randomness, stable tie-breaking by
 variable index, insertion-ordered containers only.
@@ -57,17 +61,9 @@ class CnfFormula:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Append a clause; duplicate literals dropped, tautologies skipped."""
-        seen: set[int] = set()
-        clause: list[int] = []
-        for lit in lits:
-            var = abs(lit)
-            if lit == 0 or var > self.num_vars:
-                raise ValueError(f"literal {lit} references an unallocated variable")
-            if -lit in seen:
-                return  # tautology (x or not-x)
-            if lit not in seen:
-                seen.add(lit)
-                clause.append(lit)
+        clause = _normalise_clause(lits, self.num_vars)
+        if clause is None:
+            return
         if not clause:
             raise ValueError("empty clause")
         self.clauses.append(clause)
@@ -80,6 +76,21 @@ class CnfFormula:
         return len(self.clauses)
 
 
+def _normalise_clause(lits: Iterable[int], num_vars: int) -> list[int] | None:
+    """Checked literals, first occurrences in order; None for a tautology."""
+    seen: set[int] = set()
+    clause: list[int] = []
+    for lit in lits:
+        if lit == 0 or abs(lit) > num_vars:
+            raise ValueError(f"literal {lit} references an unallocated variable")
+        if -lit in seen:
+            return None  # tautology (x or not-x)
+        if lit not in seen:
+            seen.add(lit)
+            clause.append(lit)
+    return clause
+
+
 def clause_satisfied(clause: Sequence[int], model: Sequence[bool]) -> bool:
     return any(model[abs(l)] == (l > 0) for l in clause)
 
@@ -90,88 +101,71 @@ def check_model(f: CnfFormula, model: Sequence[bool]) -> bool:
 
 
 class CdclSolver:
-    """Bundled CDCL engine; one instance is one single-threaded context."""
+    """Bundled CDCL engine; one instance is one single-threaded context.
 
-    def __init__(self, formula: CnfFormula | None = None):
-        self.num_vars = 0
+    `value[lit]` (True, False or None) and `watches[lit]` have 2n+1 slots
+    indexed by the signed literal: `-v` is slot 2n+1-v, slot 0 is unused.
+    `level`, `reason`, `activity` and `phase` are indexed by the variable.
+    """
+
+    def __init__(self, formula: CnfFormula):
+        n = self.num_vars = formula.num_vars
         self.clauses: list[list[int] | None] = []
-        self.watches: dict[int, list[int]] = {}
-        self.assign: list[bool | None] = [None]
-        self.level: list[int] = [0]
-        self.reason: list[int | None] = [None]
-        self.activity: list[float] = [0.0]
-        self.phase: list[bool] = [False]
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.value: list[bool | None] = [None] * (2 * n + 1)
+        self.level: list[int] = [0] * (n + 1)
+        self.reason: list[int | None] = [None] * (n + 1)
+        self.activity: list[float] = [0.0] * (n + 1)
+        self.phase: list[bool] = [False] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.ok = True
         self.var_inc = 1.0
-        self.heap: list[tuple[float, int]] = []
+        # equal keys in ascending variable order: already a valid heap
+        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
         self.learned_ids: list[int] = []
         self.num_original = 0
-        if formula is not None:
-            for _ in range(formula.num_vars):
-                self.new_var()
-            for clause in formula.clauses:
-                self.add_clause(clause)
+        for clause in formula.clauses:
+            self.add_clause(clause)
 
-    # ---- variable and clause management -------------------------------
-
-    def new_var(self) -> int:
-        self.num_vars += 1
-        self.assign.append(None)
-        self.level.append(0)
-        self.reason.append(None)
-        self.activity.append(0.0)
-        self.phase.append(False)
-        heappush(self.heap, (0.0, self.num_vars))
-        return self.num_vars
-
-    def _value(self, lit: int) -> bool | None:
-        v = self.assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    # ---- clause management --------------------------------------------
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause at the root level; usable between solve calls."""
         self._cancel_until(0)
-        clause: list[int] = []
-        seen: set[int] = set()
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"literal {lit} references an unallocated variable")
-            if -lit in seen:
-                return  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            val = self._value(lit)
-            if val is True:
+        clause = _normalise_clause(lits, self.num_vars)
+        if clause is None:
+            return
+        value = self.value
+        unset: list[int] = []
+        for lit in clause:
+            val = value[lit]
+            if val:
                 return  # satisfied at root forever
-            if val is False:
-                continue  # falsified at root forever
-            clause.append(lit)
+            if val is None:  # a literal false at root is dropped
+                unset.append(lit)
         self.num_original += 1
-        if not clause:
+        if not unset:
             self.ok = False
-        elif len(clause) == 1:
-            self._enqueue(clause[0], None)
+        elif len(unset) == 1:
+            self._enqueue(unset[0], None)
         else:
-            self._attach(clause)
+            self._attach(unset)
 
     def _attach(self, clause: list[int]) -> int:
         ci = len(self.clauses)
         self.clauses.append(clause)
-        self.watches.setdefault(clause[0], []).append(ci)
-        self.watches.setdefault(clause[1], []).append(ci)
+        self.watches[clause[0]].append(ci)
+        self.watches[clause[1]].append(ci)
         return ci
 
     # ---- trail --------------------------------------------------------
 
     def _enqueue(self, lit: int, reason_ci: int | None) -> None:
         v = abs(lit)
-        self.assign[v] = lit > 0
+        self.value[lit] = True
+        self.value[-lit] = False
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason_ci
         self.trail.append(lit)
@@ -180,12 +174,12 @@ class CdclSolver:
         if len(self.trail_lim) <= lvl:
             return
         lim = self.trail_lim[lvl]
-        assign, phase, reason = self.assign, self.phase, self.reason
+        value, phase, reason = self.value, self.phase, self.reason
         for i in range(len(self.trail) - 1, lim - 1, -1):
             lit = self.trail[i]
             v = abs(lit)
             phase[v] = lit > 0
-            assign[v] = None
+            value[lit] = value[-lit] = None
             reason[v] = None
             heappush(self.heap, (-self.activity[v], v))
         del self.trail[lim:]
@@ -196,15 +190,12 @@ class CdclSolver:
 
     def _propagate(self) -> int | None:
         clauses = self.clauses
-        assign = self.assign
+        value = self.value
         watches = self.watches
         while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
+            neg = -self.trail[self.qhead]
             self.qhead += 1
-            neg = -p
-            ws = watches.get(neg)
-            if not ws:
-                continue
+            ws = watches[neg]
             i = j = 0
             end = len(ws)
             while i < end:
@@ -216,32 +207,24 @@ class CdclSolver:
                 if c[0] == neg:
                     c[0], c[1] = c[1], c[0]
                 first = c[0]
-                fv = assign[abs(first)]
-                if fv is not None and fv == (first > 0):
+                fv = value[first]
+                if fv:
                     ws[j] = ci
                     j += 1
                     continue
-                moved = False
                 for kk in range(2, len(c)):
                     lk = c[kk]
-                    lv = assign[abs(lk)]
-                    if lv is None or lv == (lk > 0):
+                    if value[lk] is not False:
                         c[1], c[kk] = lk, neg
-                        watches.setdefault(lk, []).append(ci)
-                        moved = True
+                        watches[lk].append(ci)
                         break
-                if moved:
-                    continue
-                ws[j] = ci
-                j += 1
-                if fv is not None:  # first watch falsified too: conflict
-                    while i < end:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    return ci
-                self._enqueue(first, ci)
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if fv is False:  # first watch falsified too: conflict
+                        del ws[j:i]
+                        return ci
+                    self._enqueue(first, ci)
             del ws[j:]
         return None
 
@@ -252,7 +235,7 @@ class CdclSolver:
         self.activity[v] = act
         if act > 1e100:
             self._rescale()
-        elif self.assign[v] is None:
+        elif self.value[v] is None:
             heappush(self.heap, (-act, v))
 
     def _rescale(self) -> None:
@@ -261,7 +244,7 @@ class CdclSolver:
         self.var_inc *= 1e-100
         self.heap = [(-self.activity[v], v)
                      for v in range(1, self.num_vars + 1)
-                     if self.assign[v] is None]
+                     if self.value[v] is None]
         self.heap.sort()
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
@@ -337,10 +320,10 @@ class CdclSolver:
     # ---- decisions -------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        heap, assign, activity = self.heap, self.assign, self.activity
+        heap, value, activity = self.heap, self.value, self.activity
         while heap:
             na, v = heappop(heap)
-            if assign[v] is None and -na == activity[v]:
+            if value[v] is None and -na == activity[v]:
                 return v
         return 0
 
@@ -395,7 +378,7 @@ class CdclSolver:
             next_lit = 0
             while len(self.trail_lim) < len(assumptions):
                 p = assumptions[len(self.trail_lim)]
-                val = self._value(p)
+                val = self.value[p]
                 if val is True:
                     self.trail_lim.append(len(self.trail))  # placeholder level
                 elif val is False:
@@ -407,9 +390,7 @@ class CdclSolver:
             if next_lit == 0:
                 v = self._pick_branch_var()
                 if v == 0:
-                    model: list[bool] = [False] * (self.num_vars + 1)
-                    for u in range(1, self.num_vars + 1):
-                        model[u] = bool(self.assign[u])
+                    model = [bool(val) for val in self.value[:self.num_vars + 1]]
                     self._cancel_until(0)
                     return SolveOutcome(SolveStatus.SAT, model, conflicts)
                 next_lit = v if self.phase[v] else -v
@@ -426,10 +407,10 @@ def _luby(i: int) -> int:
     return _luby(i - (1 << (k - 1)) + 1)
 
 
-# A solver engine is anything matching the CdclSolver call surface:
-# new_var() -> int, add_clause(lits), solve(assumptions, budget) -> SolveOutcome.
-# External high-performance solvers can be plugged in by registering a
-# factory taking the base CnfFormula.
+# A solver engine is anything built from a CnfFormula that offers the
+# CdclSolver call surface: add_clause(lits) and
+# solve(assumptions, budget) -> SolveOutcome.  External high-performance
+# solvers can be plugged in by registering such a factory.
 EngineFactory = Callable[[CnfFormula], "CdclSolver"]
 
 ENGINES: dict[str, EngineFactory] = {"bundled": CdclSolver}

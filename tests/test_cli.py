@@ -48,6 +48,13 @@ def test_encode_rejects_k_above_n(tmp_path):
                     "--output", str(tmp_path / "x.cnf")]) == 1
 
 
+def test_encode_output_that_is_its_own_sidecar(tmp_path, capsys):
+    assert run_cli(["encode", FIG1, "--k", "1",
+                    "--output", str(tmp_path / "o.json")]) == 1
+    assert "sidecar" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_encode_never_touches_the_solver(tmp_path, monkeypatch):
     import gicsat.satcore as satcore
 
@@ -237,23 +244,21 @@ def test_bench_end_to_end(tmp_path, capsys):
     assert all(r["status"] == "solved" for r in report["records"])
     assert all(r["verified"] is True for r in report["records"])
     assert report["par2"] < 120
-    ratios = report["clause_ratio_vs_k"]["fig1.edges"]
-    assert ratios["1"] == 1.0
-    assert ratios["1"] <= ratios["2"]  # clause count non-decreasing in k
 
 
-def test_bench_clause_ratio_monotone(tmp_path, capsys):
+def test_bench_skips_k_above_node_count(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text(f"{FIG1}\n")
+    manifest.write_text(f"{K2}\n")
     report_path = tmp_path / "report.json"
-    rc = run_cli(["bench", str(manifest), "--k", "1,2,3,4", "--time-limit", "120",
+    rc = run_cli(["bench", str(manifest), "--k", "1,3", "--time-limit", "60",
                   "--output", str(report_path)])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert rc == 0
-    ratios = json.loads(report_path.read_text())["clause_ratio_vs_k"]["fig1.edges"]
-    ks = sorted(int(k) for k in ratios)
-    values = [ratios[str(k)] for k in ks]
-    assert values == sorted(values)
+    assert "k2.edges k=3: skipped (n=2)" in out
+    report = json.loads(report_path.read_text())
+    assert [(r["k"], r["status"]) for r in report["records"]] == [(1, "solved")]
+    assert report["par2"] < 60
+    assert report["par2_by_k"]["3"] == 0.0
 
 
 def test_bench_timeout_scores_double_limit(tmp_path, capsys):
@@ -283,7 +288,6 @@ def test_bench_unparsable_graph_record(tmp_path, capsys):
     assert [r["status"] for r in report["records"]] == ["encode-fail"] * 2
     assert all("line 1" in r["error"] and r["n"] is None
                for r in report["records"])
-    assert report["clause_ratio_vs_k"] == {}
 
 
 def test_bench_bad_k_list(tmp_path, capsys):

@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
                             SolveStatus, check_model,
@@ -194,6 +196,51 @@ def test_budget_validation():
         CdclSolver(f).solve(budget=0)
 
 
+def literals(n):
+    return st.integers(-n, n).filter(bool)
+
+
+def clauses(n, min_size=1):
+    return st.lists(literals(n), min_size=min_size, max_size=4)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 6), st.data())
+def test_reused_solver_matches_brute_force(n, data):
+    """One engine over several budgeted calls, with clauses added between."""
+    f = CnfFormula(n)
+    # 3n to 5n clauses of 3-4 literals, near the satisfiability threshold,
+    # so that conflicts also arise above the root
+    f.add_clauses(data.draw(st.lists(clauses(n, 3), min_size=3 * n,
+                                     max_size=5 * n)))
+    eng = CdclSolver(f)
+    for _ in range(data.draw(st.integers(1, 6))):
+        for clause in data.draw(st.lists(clauses(n), max_size=2)):
+            f.add_clause(clause)
+            eng.add_clause(clause)
+        assumptions = data.draw(st.lists(literals(n), max_size=4))
+        # now and then a contradictory pair, a literal fixed at the root
+        # or the negation of one
+        if assumptions and data.draw(st.integers(0, 3)) == 0:
+            assumptions.append(-assumptions[0])
+        if eng.trail:
+            fixed = data.draw(st.sampled_from(eng.trail))
+            sign = data.draw(st.sampled_from([0, 1, 1, -1]))
+            if sign:
+                assumptions.insert(data.draw(st.integers(0, len(assumptions))),
+                                   sign * fixed)
+        budget = data.draw(st.sampled_from([1, 2, 5, None]))
+        out = eng.solve(assumptions, budget)
+        assert budget is None or out.conflicts_used <= budget
+        if out.status is SolveStatus.SAT:
+            assert check_model(f, out.model)
+            assert all(out.model[abs(l)] == (l > 0) for l in assumptions)
+        elif out.status is SolveStatus.UNSAT:
+            assert brute_force_solve(f, assumptions) is None
+        else:
+            assert budget is not None and out.conflicts_used == budget
+
+
 # ---- projected enumeration ---------------------------------------------------
 
 def test_enumerate_unsat_is_empty():
@@ -238,18 +285,35 @@ def test_enumerate_cap_exceeded_raises():
 
 # ---- DIMACS -------------------------------------------------------------------
 
-def test_dimacs_round_trip():
-    f = CnfFormula()
-    x1, x2, x3 = f.new_vars(3)
-    f.add_clause([x1, -x2])
-    f.add_clause([x2, x3])
+@st.composite
+def drawn_dimacs(draw):
+    """A formula on at most 6 variables, comments and group annotations."""
+    n = draw(st.integers(0, 6))
+    f = CnfFormula(n)
+    if n:
+        f.add_clauses(draw(st.lists(clauses(n), max_size=8)))
+        var = st.integers(1, n)
+        groups = draw(st.dictionaries(
+            st.text("ab_-19", min_size=1, max_size=4),
+            st.tuples(var, var), max_size=n))
+    else:
+        groups = {}
+    comments = draw(st.lists(st.text("hello wrd", max_size=12), max_size=3))
+    return f, comments, groups
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(drawn_dimacs())
+def test_dimacs_round_trip(drawn):
+    f, comments, groups = drawn
     buf = io.StringIO()
-    write_dimacs(f, buf, comments=["hello"], groups=[("a", x1, x2)])
+    write_dimacs(f, buf, comments=comments,
+                 groups=[(label, *vs) for label, vs in groups.items()])
     buf.seek(0)
-    g, groups = read_dimacs(buf)
-    assert g.num_vars == 3
+    g, read_groups = read_dimacs(buf)
+    assert g.num_vars == f.num_vars
     assert g.clauses == f.clauses
-    assert groups == {"a": (x1, x2)}
+    assert read_groups == groups
 
 
 def test_dimacs_rejects_clause_count_mismatch():
