@@ -172,6 +172,10 @@ def cmd_encode(args) -> int:
     if sidecar_path == args.output:
         raise UsageError(f"--output {args.output!r} would be overwritten by "
                          f"its JSON sidecar; use another extension, e.g. .cnf")
+    for path in (args.output, sidecar_path):
+        if os.path.exists(path) and os.path.samefile(path, args.graph):
+            raise UsageError(f"writing {path!r} would overwrite the input "
+                             f"graph; choose another --output")
     g = _load_graph(args.graph, args.format)
     _check_k(g, args.k)
     inst = encoder.encode_instance(g, args.k)

@@ -15,14 +15,28 @@ The auxiliary variables are deliberately renamed as well: sharing the
 cardinality-counter registers between the two copies can couple otherwise
 independent models through counter state and turn satisfiable queries
 unsatisfiable, which would be unsound here.
+
+Witness-first scan.  The models of F projected on x/y are exactly the
+failure sets S with |S| <= k, each as (x = S, y = N[S]).  A SAT answer is
+therefore two failure sets that agree on C and differ on z.  Before the
+engine is called, each query scans a pool of every failure set of size at
+most min(k, 2), built once on the first query; each entry is its projected
+model as a bitmask over z_order.  Keying the entries by their bits on C,
+the first key seen with both values of z's bit is a witness, and the SAT
+answer carries the full base model built from the two sets (conflicts 0).
+When k <= 2 the pool holds every failure set, so a scan with no witness
+proves definability and the answer is UNSAT without an engine call; the
+conflict budget then never applies.  For k > 2 a miss falls through to
+the engine.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .encoder import EncodedInstance
-from .satcore import CnfFormula, SolveOutcome, make_engine
+from .encoder import EncodedInstance, failure_assignment
+from .oracle import closed_masks
+from .satcore import CnfFormula, SolveOutcome, SolveStatus, make_engine
 
 
 class DefinabilityContext:
@@ -56,6 +70,9 @@ class DefinabilityContext:
         self.hat_aux = [a + shift for a in inst.aux]
         self.indicators = indicators
         self._engine = make_engine(base, engine)
+        self._inst = inst
+        self._bit = {z: 1 << i for i, z in enumerate(z_order)}
+        self._pool: list[int] | None = None
 
     def query(self, defining: Iterable[int], target: int,
               budget: int | None = None) -> SolveOutcome:
@@ -72,6 +89,42 @@ class DefinabilityContext:
         bad = defining - self.indicators.keys()
         if bad:
             raise ValueError(f"defining variables {sorted(bad)} are not projected")
+        if budget is not None and budget < 1:  # checked even if no engine call
+            raise ValueError("budget must be >= 1")
+        # witness-first: two pool entries equal on `defining`, unequal on target
+        if self._pool is None:
+            self._pool = self._failure_set_pool()
+        dmask = sum(map(self._bit.__getitem__, defining))
+        tbit = self._bit[target]
+        seen: dict[int, int] = {}
+        for code in self._pool:
+            first = seen.setdefault(code & dmask, code)
+            if (first ^ code) & tbit:
+                if code & tbit:
+                    first, code = code, first
+                return SolveOutcome(SolveStatus.SAT, self._model(first, code), 0)
+        if self._inst.k <= 2:  # the pool held every failure set
+            return SolveOutcome(SolveStatus.UNSAT, None, 0)
         assumptions = [self.indicators[z] for z in self.z_order if z in defining]
         assumptions += [target, -self.hat[target]]
         return self._engine.solve(assumptions, budget)
+
+    def _failure_set_pool(self) -> list[int]:
+        """Every failure set S, |S| <= min(k, 2), as its x/y bitmask.
+
+        Bit i stands for z_order[i]: x_v is bit v and y_v is bit n + v.
+        """
+        g = self._inst.graph
+        singles = [1 << v | m << g.n for v, m in enumerate(closed_masks(g))]
+        pool = [0] + singles
+        if self._inst.k >= 2:
+            pool += [a | b for i, a in enumerate(singles) for b in singles[i + 1:]]
+        return pool
+
+    def _model(self, code1: int, code2: int) -> list[bool]:
+        """The base model whose copies 1 and 2 hold the two failure sets."""
+        inst = self._inst
+        m1, m2 = (failure_assignment(inst, [v for v in range(inst.graph.n)
+                                            if code >> v & 1])
+                  for code in (code1, code2))
+        return m1 + m2[1:] + [m1[z] == m2[z] for z in self.z_order]

@@ -43,7 +43,8 @@ def signature(g: Graph, sensors: Iterable[int], failed: Iterable[int]) -> Signat
                      sigma1=frozenset(closed_neighborhood_set(g, failed) & sensors))
 
 
-def _closed_masks(g: Graph) -> list[int]:
+def closed_masks(g: Graph) -> list[int]:
+    """N[v] as a node bitmask, for each node v."""
     masks = []
     for v in range(g.n):
         m = 1 << v
@@ -83,7 +84,7 @@ def find_signature_collision(g: Graph, sensors: Iterable[int], k: int,
     for v in set(sensors):
         g._check_node(v)
         smask |= 1 << v
-    closed = _closed_masks(g)
+    closed = closed_masks(g)
     seen: dict[tuple[int, int], int] = {}
     for size in range(k + 1):
         for combo in combinations(range(g.n), size):

@@ -126,8 +126,8 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
         self.learned_ids: list[int] = []
         self.num_original = 0
-        for clause in formula.clauses:
-            self.add_clause(clause)
+        for clause in formula.clauses:  # normalised by CnfFormula.add_clause
+            self._add_normalised(clause)
 
     # ---- clause management --------------------------------------------
 
@@ -135,8 +135,11 @@ class CdclSolver:
         """Add a clause at the root level; usable between solve calls."""
         self._cancel_until(0)
         clause = _normalise_clause(lits, self.num_vars)
-        if clause is None:
-            return
+        if clause is not None:
+            self._add_normalised(clause)
+
+    def _add_normalised(self, clause: list[int]) -> None:
+        """Drop root-false literals; skip the clause if one is root-true."""
         value = self.value
         unset: list[int] = []
         for lit in clause:

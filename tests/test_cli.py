@@ -55,6 +55,21 @@ def test_encode_output_that_is_its_own_sidecar(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("graph,output", [("g.edges", "g.edges"),
+                                          ("g.json", "g.cnf")])
+def test_encode_never_overwrites_its_graph(tmp_path, capsys, graph, output):
+    # the output, or its sidecar, is the input graph itself
+    with open(FIG1) as fp:
+        text = fp.read()
+    src = tmp_path / graph
+    src.write_text(text)
+    assert run_cli(["encode", str(src), "--format", "edgelist", "--k", "1",
+                    "--output", str(tmp_path / output)]) == 1
+    assert "input graph" in capsys.readouterr().err
+    assert src.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == [graph]
+
+
 def test_encode_never_touches_the_solver(tmp_path, monkeypatch):
     import gicsat.satcore as satcore
 

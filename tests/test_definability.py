@@ -2,11 +2,13 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.graph import build_graph, parse_graph
-from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus,
+from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus, check_model,
                             enumerate_models_projected)
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
@@ -109,6 +111,16 @@ def test_query_rejects_target_in_defining_set():
     x_a, _ = xy(inst, "a")
     with pytest.raises(ValueError):
         ctx.query({x_a}, x_a)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_query_rejects_non_positive_budget(k):
+    # at k=1 the scan answers without the engine, which checks the budget
+    inst = encode_instance(fig1(), k)
+    ctx = DefinabilityContext(inst)
+    x_a, _ = xy(inst, "a")
+    with pytest.raises(ValueError):
+        ctx.query(set(inst.z_vars) - {x_a}, x_a, budget=0)
 
 
 def test_query_rejects_non_projected_vars():
@@ -225,3 +237,44 @@ def test_fresh_context_matches_shared_context(fresh_context):
         assert shared.query(defining, target).status == \
             fresh.query(defining, target).status
 
+
+# ---- the failure-set scan against the engine ------------------------------------
+
+@st.composite
+def drawn_queries(draw):
+    """A graph on at most 6 nodes, any k, and a defining set.
+
+    Edges are drawn as node pairs, so self-loops, duplicate edges and
+    isolated nodes all occur.  The defining set is either whole groups, as
+    run_gismo passes it, or any subset of the projected variables.
+    """
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    inst = encode_instance(build_graph(n, pairs), draw(st.integers(1, n)))
+    if draw(st.booleans()):
+        defining = {z for v in draw(st.sets(node)) for z in inst.group_of(v)}
+    else:
+        defining = draw(st.sets(st.sampled_from(inst.z_vars)))
+    return inst, defining
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn_queries())
+def test_query_matches_engine_on_base(query):
+    # at k <= 2 every answer comes from the scan, so compare it with a plain
+    # engine call on the same base formula and check each SAT model
+    inst, defining = query
+    ctx = DefinabilityContext(inst)
+    for target in inst.z_vars:
+        if target in defining:
+            continue
+        got = ctx.query(defining, target)
+        assumed = [ctx.indicators[c] for c in defining]
+        want = CdclSolver(ctx.base).solve(assumed + [target, -ctx.hat[target]])
+        assert got.status is want.status
+        if got.status is SolveStatus.SAT:
+            model = got.model
+            assert check_model(ctx.base, model)
+            assert all(model[e] for e in assumed)
+            assert model[target] and not model[ctx.hat[target]]

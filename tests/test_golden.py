@@ -3,7 +3,8 @@
 With no budget exhaustion the sensor set depends only on the graph, k and
 the processing order, never on how the definability queries are run, so a
 refactor of the query path must reproduce these sets exactly.  Labels are
-listed in string order.
+listed in string order.  At k <= 2 the failure-set scan answers every
+query; the k=3 rows also run the engine on the scan's misses.
 """
 
 from pathlib import Path
@@ -35,16 +36,26 @@ GOLDEN = {
     ("path20.edges", 1): "1 11 13 16 18 3 6 8",
     ("path20.edges", 2): "0 10 12 14 16 18 19 2 4 6 8",
     ("single.edges", 1): "v",
+    ("fig1.edges", 3): "a b c d e",
+    ("gnp30.edges", 3): "n1 n11 n12 n13 n14 n15 n17 n19 n2 n20 n21 n22 n23 "
+                        "n24 n26 n27 n28 n3 n4 n5 n7 n8 n9",
+    ("gnp50.edges", 3): "n1 n10 n11 n12 n13 n14 n15 n17 n18 n19 n21 n22 n23 "
+                        "n25 n27 n28 n29 n3 n32 n35 n37 n38 n40 n41 n42 n43 "
+                        "n44 n45 n46 n47 n48 n5 n7 n9",
+    ("grid5x5.edges", 3): "0 1 10 11 12 13 14 15 16 17 18 19 2 20 21 22 23 "
+                          "24 3 4 5 6 7 8 9",
+    ("path20.edges", 3): "0 1 10 11 12 13 14 15 16 17 18 19 2 3 4 5 6 7 8 9",
 }
 
 
 def test_golden_covers_every_data_graph():
-    # k=2 is skipped only where it exceeds n
+    # a k is skipped only where it exceeds n
     names = sorted(p.name for p in DATA.glob("*.edges"))
     assert sorted({name for name, _ in GOLDEN}) == names
     for name in names:
         n = parse_graph_file(str(DATA / name)).n
-        assert {k for gname, k in GOLDEN if gname == name} == {1, 2} & set(range(1, n + 1))
+        assert {k for gname, k in GOLDEN if gname == name} == \
+            {1, 2, 3} & set(range(1, n + 1))
 
 
 @pytest.mark.parametrize("inner", INNER_ORDERS)
