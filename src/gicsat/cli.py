@@ -167,15 +167,19 @@ def _parse_order(text: str, g: Graph) -> str | tuple[int, ...]:
     return order
 
 
+def _check_not_input(graph_path: str, *outputs: str | None) -> None:
+    for path in outputs:
+        if path and os.path.exists(path) and os.path.samefile(path, graph_path):
+            raise UsageError(f"writing {path!r} would overwrite the input "
+                             f"graph; choose another --output")
+
+
 def cmd_encode(args) -> int:
     sidecar_path = os.path.splitext(args.output)[0] + ".json"
     if sidecar_path == args.output:
         raise UsageError(f"--output {args.output!r} would be overwritten by "
                          f"its JSON sidecar; use another extension, e.g. .cnf")
-    for path in (args.output, sidecar_path):
-        if os.path.exists(path) and os.path.samefile(path, args.graph):
-            raise UsageError(f"writing {path!r} would overwrite the input "
-                             f"graph; choose another --output")
+    _check_not_input(args.graph, args.output, sidecar_path)
     g = _load_graph(args.graph, args.format)
     _check_k(g, args.k)
     inst = encoder.encode_instance(g, args.k)
@@ -236,6 +240,7 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
 
 
 def cmd_solve(args) -> int:
+    _check_not_input(args.graph, args.output)
     restore = _apply_limits(args.time_limit, args.mem_limit)
     try:
         g = _load_graph(args.graph, args.format)

@@ -17,26 +17,40 @@ independent models through counter state and turn satisfiable queries
 unsatisfiable, which would be unsound here.
 
 Witness-first scan.  The models of F projected on x/y are exactly the
-failure sets S with |S| <= k, each as (x = S, y = N[S]).  A SAT answer is
-therefore two failure sets that agree on C and differ on z.  Before the
-engine is called, each query scans a pool of every failure set of size at
-most min(k, 2), built once on the first query; each entry is its projected
-model as a bitmask over z_order.  Keying the entries by their bits on C,
-the first key seen with both values of z's bit is a witness, and the SAT
-answer carries the full base model built from the two sets (conflicts 0).
-When k <= 2 the pool holds every failure set, so a scan with no witness
-proves definability and the answer is UNSAT without an engine call; the
-conflict budget then never applies.  For k > 2 a miss falls through to
-the engine.
+failure sets S with |S| <= k, each as (x = S, y = N[S]), so a SAT answer
+is two failure sets (F1, F2) that agree on C, z true for F1: the witness
+`query` returns.  Before the engine is called, each query scans a pool of
+every failure set of size at most min(k, 2), built on the first query;
+each entry is its projected model as a bitmask over z_order.  Keyed by
+their bits on C, the first key seen with both values of z's bit is a
+witness (conflicts 0).  When k <= 2 the pool holds every failure set, so
+a scan with no witness proves definability: UNSAT without an engine call,
+and the conflict budget never applies.  For k > 2 a miss falls through to
+the engine, whose two copies' x bits give the witness of a SAT model.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
-from .encoder import EncodedInstance, failure_assignment
-from .oracle import closed_masks
-from .satcore import CnfFormula, SolveOutcome, SolveStatus, make_engine
+from .encoder import EncodedInstance
+from .oracle import closed_masks, mask_to_set
+from .satcore import CnfFormula, SolveStatus, make_engine
+
+Witness = tuple[frozenset[int], frozenset[int]]
+
+
+@dataclass(frozen=True)
+class QueryAnswer:
+    """One definability answer; witness (F1, F2) is present iff SAT."""
+
+    status: SolveStatus
+    witness: Witness | None
+    conflicts_used: int
+
+    def __post_init__(self):
+        assert (self.witness is not None) == (self.status is SolveStatus.SAT)
 
 
 class DefinabilityContext:
@@ -67,7 +81,6 @@ class DefinabilityContext:
         self.base = base
         self.z_order = z_order
         self.hat = {z: z + shift for z in z_order}
-        self.hat_aux = [a + shift for a in inst.aux]
         self.indicators = indicators
         self._engine = make_engine(base, engine)
         self._inst = inst
@@ -75,11 +88,13 @@ class DefinabilityContext:
         self._pool: list[int] | None = None
 
     def query(self, defining: Iterable[int], target: int,
-              budget: int | None = None) -> SolveOutcome:
+              budget: int | None = None) -> QueryAnswer:
         """Padoa-style check: is target functionally defined by `defining`?
 
-        UNSAT: defined.  SAT: two models agree on `defining` but differ on
-        target.  BUDGET_EXHAUSTED: undetermined within the conflict budget.
+        UNSAT: defined.  SAT: the witness holds two failure sets whose
+        projected models agree on `defining`, target true for the first and
+        false for the second.  BUDGET_EXHAUSTED: undetermined within the
+        conflict budget.
         """
         defining = set(defining)
         if target not in self.indicators:
@@ -102,12 +117,20 @@ class DefinabilityContext:
             if (first ^ code) & tbit:
                 if code & tbit:
                     first, code = code, first
-                return SolveOutcome(SolveStatus.SAT, self._model(first, code), 0)
+                xmask = (1 << self._inst.graph.n) - 1
+                return QueryAnswer(SolveStatus.SAT, (mask_to_set(first & xmask),
+                                                     mask_to_set(code & xmask)), 0)
         if self._inst.k <= 2:  # the pool held every failure set
-            return SolveOutcome(SolveStatus.UNSAT, None, 0)
+            return QueryAnswer(SolveStatus.UNSAT, None, 0)
         assumptions = [self.indicators[z] for z in self.z_order if z in defining]
         assumptions += [target, -self.hat[target]]
-        return self._engine.solve(assumptions, budget)
+        out = self._engine.solve(assumptions, budget)
+        witness = None
+        if out.status is SolveStatus.SAT:  # copy 1 holds the target true
+            m, x = out.model, self._inst.x
+            witness = (frozenset(v for v, z in enumerate(x) if m[z]),
+                       frozenset(v for v, z in enumerate(x) if m[self.hat[z]]))
+        return QueryAnswer(out.status, witness, out.conflicts_used)
 
     def _failure_set_pool(self) -> list[int]:
         """Every failure set S, |S| <= min(k, 2), as its x/y bitmask.
@@ -120,11 +143,3 @@ class DefinabilityContext:
         if self._inst.k >= 2:
             pool += [a | b for i, a in enumerate(singles) for b in singles[i + 1:]]
         return pool
-
-    def _model(self, code1: int, code2: int) -> list[bool]:
-        """The base model whose copies 1 and 2 hold the two failure sets."""
-        inst = self._inst
-        m1, m2 = (failure_assignment(inst, [v for v in range(inst.graph.n)
-                                            if code >> v & 1])
-                  for code in (code1, code2))
-        return m1 + m2[1:] + [m1[z] == m2[z] for z in self.z_order]

@@ -15,7 +15,7 @@ auxiliaries belong to no group and never enter a projection set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph
 from .satcore import CnfFormula
@@ -122,29 +122,3 @@ def encode_instance(g: Graph, k: int) -> EncodedInstance:
                            detection_clauses=len(detection),
                            cardinality_clauses=len(card))
 
-
-def failure_assignment(inst: EncodedInstance, failed: Iterable[int]) -> list[bool]:
-    """The model of inst.formula in which exactly the nodes `failed` fail.
-
-    x is the failure set F, y its closed neighbourhood N[F], and counter
-    row i (aux[i*k:(i+1)*k]) holds in unary how many of nodes 0..i fail.
-    Indexed by variable; entry 0 is unused.
-    """
-    g = inst.graph
-    failed = set(failed)
-    if len(failed) > inst.k:
-        raise ValueError(f"{len(failed)} failed nodes exceed k={inst.k}")
-    model = [False] * (inst.formula.num_vars + 1)
-    for v in failed:
-        g._check_node(v)
-        model[inst.x[v]] = True
-        model[inst.y[v]] = True
-        for u in g.adjacency[v]:
-            model[inst.y[u]] = True
-    k = inst.k
-    count = 0
-    for i in range(len(inst.aux) // k):  # a row for each input but the last
-        count += i in failed
-        for j in range(k):
-            model[inst.aux[i * k + j]] = count > j
-    return model

@@ -1,12 +1,17 @@
 """Greedy group elimination: compute a set-minimal grouped independent support.
 
 Starting from all groups, each node's group is tentatively removed; its two
-variables are tested for definability from the remaining candidate set (not
-yet processed groups plus groups already kept).  A group stays selected as
-soon as one of its variables is not provably defined -- a satisfiable query
-or an exhausted conflict budget both keep the group, so budget exhaustion
-errs on the safe side and the output is a grouped independent support
-regardless.  The selected nodes are exactly the sensor placement.
+variables are tested for definability from the support, the groups not
+dropped so far (not yet processed groups plus groups already kept).  A
+group stays selected as soon as one of its variables is not provably
+defined -- a satisfiable query or an exhausted conflict budget both keep
+the group, so budget exhaustion errs on the safe side and the output is a
+grouped independent support regardless.  The selected nodes are exactly
+the sensor placement.
+
+A group kept on a SAT answer logs its witness, two failure sets whose
+signatures agree on the support minus the group; the support only shrinks,
+so they also collide on the final sensor set minus that node.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from . import oracle
-from .definability import DefinabilityContext
+from .definability import DefinabilityContext, Witness
 from .encoder import EncodedInstance
 from .satcore import SolveStatus
 
@@ -53,9 +58,12 @@ class GismoConfig:
 
 @dataclass(frozen=True)
 class QueryRecord:
+    """One query of run_gismo; witness is the SAT answer's failure-set pair."""
+
     var: int
     status: SolveStatus
     conflicts: int
+    witness: Witness | None
 
 
 @dataclass(frozen=True)
@@ -99,38 +107,31 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
         cfg = GismoConfig()
     if ctx is None:
         ctx = DefinabilityContext(inst)
-    candidates = set(inst.z_vars)
-    selected: set[int] = set()
-    selected_support: set[int] = set()
+    support = set(inst.z_vars)  # the groups not dropped so far
     log: list[GroupLog] = []
-    exhaustions = 0
-    queries = 0
-    conflicts = 0
     for v in group_order(inst, cfg):
-        group = inst.group_of(v)
-        x_var, y_var = group
-        candidates.difference_update(group)
-        defining = candidates | selected_support
-        inner = (y_var, x_var) if cfg.inner_order == "y-first" else (x_var, y_var)
+        group = inst.group_of(v)  # (x_v, y_v)
+        defining = support.difference(group)
+        inner = group[::-1] if cfg.inner_order == "y-first" else group
         tested: list[QueryRecord] = []
-        kept = False
         for z in inner:
-            outcome = ctx.query(defining, z, cfg.budget)
-            queries += 1
-            conflicts += outcome.conflicts_used
-            tested.append(QueryRecord(z, outcome.status, outcome.conflicts_used))
-            if outcome.status is SolveStatus.BUDGET_EXHAUSTED:
-                exhaustions += 1
-            if outcome.status is not SolveStatus.UNSAT:
-                # not provably defined: the whole group stays
-                selected.add(v)
-                selected_support.update(group)
-                kept = True
-                break
+            answer = ctx.query(defining, z, cfg.budget)
+            tested.append(QueryRecord(z, answer.status, answer.conflicts_used,
+                                      answer.witness))
+            if answer.status is not SolveStatus.UNSAT:
+                break  # not provably defined: the whole group stays
+        kept = tested[-1].status is not SolveStatus.UNSAT
+        if not kept:
+            support.difference_update(group)
         log.append(GroupLog(node=v, tested=tuple(tested), kept=kept))
-    return GisResult(sensor_set=frozenset(selected),
-                     per_group_log=tuple(log), budget_exhaustions=exhaustions,
-                     total_queries=queries, total_conflicts=conflicts)
+    records = [r for e in log for r in e.tested]
+    return GisResult(
+        sensor_set=frozenset(e.node for e in log if e.kept),
+        per_group_log=tuple(log),
+        budget_exhaustions=sum(r.status is SolveStatus.BUDGET_EXHAUSTED
+                               for r in records),
+        total_queries=len(records),
+        total_conflicts=sum(r.conflicts for r in records))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,8 @@ def failure_set_count(n: int, k: int) -> int:
     return sum(comb(n, i) for i in range(k + 1))
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
+def mask_to_set(mask: int) -> frozenset[int]:
+    """The nodes of a node bitmask."""
     out = []
     v = 0
     while mask:
@@ -95,7 +96,7 @@ def find_signature_collision(g: Graph, sensors: Iterable[int], k: int,
                 nmask |= closed[v]
             sig = (umask & smask, nmask & smask)
             if sig in seen:
-                return (_mask_to_set(seen[sig]), _mask_to_set(umask))
+                return (mask_to_set(seen[sig]), mask_to_set(umask))
             seen[sig] = umask
     return None
 

@@ -155,6 +155,20 @@ def test_solve_unknown_order_label(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("output", ["g.edges", os.path.join("sub", "..", "g.edges")])
+def test_solve_never_overwrites_its_graph(tmp_path, capsys, output):
+    with open(FIG1) as fp:
+        text = fp.read()
+    src = tmp_path / "g.edges"
+    src.write_text(text)
+    (tmp_path / "sub").mkdir()
+    assert run_cli(["solve", str(src), "--k", "1",
+                    "--output", str(tmp_path / output)]) == 1
+    out, err = capsys.readouterr()
+    assert "input graph" in err and out == ""
+    assert src.read_text() == text
+
+
 @pytest.mark.parametrize("command", [["solve", FIG1, "--k", "1"],
                                      ["bench", FIG1]])
 @pytest.mark.parametrize("flag,value", [

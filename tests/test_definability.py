@@ -2,13 +2,13 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
-from gicsat.graph import build_graph, parse_graph
-from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus, check_model,
+from gicsat.graph import build_graph, closed_neighborhood_set, parse_graph
+from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus,
                             enumerate_models_projected)
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
@@ -46,14 +46,17 @@ def test_base_variable_count_fig1():
     assert t == 14
     assert ctx.base.num_vars == 2 * t + len(ctx.z_order)
     assert len(ctx.z_order) == 10
-    assert len(ctx.hat_aux) == len(inst.aux)
+    # the counter registers are renamed too, into the copy's range
+    hat_aux = {a + t for a in inst.aux}
+    assert len(hat_aux) == len(inst.aux) == 4
+    assert max(hat_aux) <= 2 * t
 
 
 def test_base_ranges_disjoint():
     inst = encode_instance(fig1(), 2)
     ctx = DefinabilityContext(inst)
     originals = set(range(1, inst.formula.num_vars + 1))
-    hats = set(ctx.hat.values()) | set(ctx.hat_aux)
+    hats = set(ctx.hat.values()) | {a + inst.formula.num_vars for a in inst.aux}
     inds = set(ctx.indicators.values())
     assert not originals & hats
     assert not originals & inds
@@ -259,13 +262,28 @@ def drawn_queries(draw):
     return inst, defining
 
 
+def projection(g, failed):
+    """A failure set's projected model: the nodes of x and of y = N[F]."""
+    return set(failed), closed_neighborhood_set(g, failed)
+
+
+# path 0-1-2 at k=3: with every other variable fixed, only {0, 1, 2} and
+# {0, 2} differ on x_1, so the scan misses and the engine finds the witness
+PATH3 = encode_instance(build_graph(3, [(0, 1), (1, 2)]), 3)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn_queries())
+@example((PATH3, set(PATH3.z_vars) - {PATH3.x[1]}))
 def test_query_matches_engine_on_base(query):
-    # at k <= 2 every answer comes from the scan, so compare it with a plain
-    # engine call on the same base formula and check each SAT model
+    # compare every answer with a plain engine call on the same base formula
+    # and check each SAT witness against the graph: at k <= 2 it comes from
+    # the scan, at k > 2 it may be decoded from the engine's model
     inst, defining = query
+    g = inst.graph
     ctx = DefinabilityContext(inst)
+    side = {z: (i, v) for i, zs in enumerate((inst.x, inst.y))
+            for v, z in enumerate(zs)}  # z -> (0 for x / 1 for y, node)
     for target in inst.z_vars:
         if target in defining:
             continue
@@ -273,8 +291,13 @@ def test_query_matches_engine_on_base(query):
         assumed = [ctx.indicators[c] for c in defining]
         want = CdclSolver(ctx.base).solve(assumed + [target, -ctx.hat[target]])
         assert got.status is want.status
+        assert (got.witness is not None) == (got.status is SolveStatus.SAT)
         if got.status is SolveStatus.SAT:
-            model = got.model
-            assert check_model(ctx.base, model)
-            assert all(model[e] for e in assumed)
-            assert model[target] and not model[ctx.hat[target]]
+            f1, f2 = got.witness
+            assert len(f1) <= inst.k and len(f2) <= inst.k
+            p1, p2 = projection(g, f1), projection(g, f2)
+            for z in defining:
+                i, v = side[z]
+                assert (v in p1[i]) == (v in p2[i])
+            i, v = side[target]
+            assert v in p1[i] and v not in p2[i]

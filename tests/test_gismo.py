@@ -1,5 +1,6 @@
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.gismo import (INNER_ORDERS, GismoConfig, GisResult, group_order,
                           run_gismo, verify_result)
-from gicsat.graph import build_graph, parse_graph
+from gicsat.graph import build_graph, parse_graph, parse_graph_file
 from gicsat.oracle import (is_gics, is_gis_bruteforce, min_gics_exhaustive,
-                           projected_models)
+                           projected_models, signature)
 from gicsat.satcore import SolveStatus
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
 HUGE = 10 ** 9
 
@@ -149,6 +151,37 @@ def test_drawn_graphs_match_independent_minimizer(run):
     assert res.budget_exhaustions == 0
     assert is_gics(g, res.sensor_set, k)
     assert verify_result(inst, res).minimal
+    assert_witnesses_certify(g, k, res)
+
+
+# ---- graph-only certificate of set-minimality ------------------------------------
+
+def assert_witnesses_certify(g, k, res):
+    """Each kept node's SAT witness: two failure sets the others cannot tell apart.
+
+    Only the graph and oracle.signature are used, so this proves that no
+    single sensor can be dropped without enumerating projected models.
+    """
+    for entry in res.per_group_log:
+        if not entry.kept:
+            continue
+        last = entry.tested[-1]
+        assert last.status is SolveStatus.SAT
+        f1, f2 = last.witness
+        rest = res.sensor_set - {entry.node}
+        assert f1 != f2 and len(f1) <= k and len(f2) <= k
+        assert signature(g, rest, f1) == signature(g, rest, f2)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.edges")), ids=lambda p: p.name)
+def test_kept_sensors_carry_graph_checked_witnesses(path):
+    g = parse_graph_file(str(path))
+    for k in range(1, min(3, g.n) + 1):
+        inst = encode_instance(g, k)
+        for inner in INNER_ORDERS:
+            res = run_gismo(inst, GismoConfig(inner_order=inner))
+            assert res.budget_exhaustions == 0
+            assert_witnesses_certify(g, k, res)
 
 
 # ---- orders and config ----------------------------------------------------------
