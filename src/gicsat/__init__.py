@@ -9,8 +9,8 @@ incremental satisfiability queries.  The surviving groups are the sensors.
 from .graph import (Graph, GraphParseError, build_graph, closed_neighborhood,
                     closed_neighborhood_set, parse_graph, parse_graph_file)
 from .satcore import (CdclSolver, CnfFormula, ModelCapExceeded, SolveOutcome,
-                      SolveStatus, check_model, enumerate_models_projected,
-                      make_engine, read_dimacs, write_dimacs)
+                      SolveStatus, check_model, engine_factory,
+                      enumerate_models_projected, read_dimacs, write_dimacs)
 from .encoder import (EncodedInstance, encode_cardinality, encode_detection,
                       encode_instance)
 from .definability import DefinabilityContext

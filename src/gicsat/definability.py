@@ -26,7 +26,8 @@ their bits on C, the first key seen with both values of z's bit is a
 witness (conflicts 0).  When k <= 2 the pool holds every failure set, so
 a scan with no witness proves definability: UNSAT without an engine call,
 and the conflict budget never applies.  For k > 2 a miss falls through to
-the engine, whose two copies' x bits give the witness of a SAT model.
+the engine, built on the first miss, whose two copies' x bits give the
+witness of a SAT model.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable
 
 from .encoder import EncodedInstance
 from .oracle import closed_masks, mask_to_set
-from .satcore import CnfFormula, SolveStatus, make_engine
+from .satcore import CnfFormula, SolveStatus, engine_factory
 
 Witness = tuple[frozenset[int], frozenset[int]]
 
@@ -56,7 +57,9 @@ class QueryAnswer:
 class DefinabilityContext:
     """One shared incremental solver over the doubled formula.
 
-    engine names the `satcore.ENGINES` entry that answers every query.
+    engine names the `satcore.ENGINES` entry that answers the queries the
+    scan leaves open.  It is checked here but built on the first such
+    query, so at k <= 2 no engine is ever built.
     """
 
     def __init__(self, inst: EncodedInstance, engine: str = "bundled"):
@@ -82,7 +85,8 @@ class DefinabilityContext:
         self.z_order = z_order
         self.hat = {z: z + shift for z in z_order}
         self.indicators = indicators
-        self._engine = make_engine(base, engine)
+        self._make_engine = engine_factory(engine)
+        self._engine = None
         self._inst = inst
         self._bit = {z: 1 << i for i, z in enumerate(z_order)}
         self._pool: list[int] | None = None
@@ -124,6 +128,8 @@ class DefinabilityContext:
             return QueryAnswer(SolveStatus.UNSAT, None, 0)
         assumptions = [self.indicators[z] for z in self.z_order if z in defining]
         assumptions += [target, -self.hat[target]]
+        if self._engine is None:
+            self._engine = self._make_engine(self.base)
         out = self._engine.solve(assumptions, budget)
         witness = None
         if out.status is SolveStatus.SAT:  # copy 1 holds the target true

@@ -105,7 +105,19 @@ class CdclSolver:
 
     `value[lit]` (True, False or None) and `watches[lit]` have 2n+1 slots
     indexed by the signed literal: `-v` is slot 2n+1-v, slot 0 is unused.
-    `level`, `reason`, `activity` and `phase` are indexed by the variable.
+    `level`, `reason`, `activity`, `phase` and `in_heap` are indexed by the
+    variable.
+
+    The branching heap holds (-activity, v) entries and is pruned lazily.
+    `in_heap[v]` is the activity of v's one live entry, None when v has
+    none; any other entry of v is stale and skipped when popped.  Every
+    unassigned variable has its live entry at its current activity, so the
+    branch variable is the unassigned one of highest activity, lowest index
+    first among equals.
+
+    `decisions` (branch variables picked; assumption levels are not
+    counted) and `propagations` (literals dequeued by unit propagation) are
+    cumulative over the solver's life.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -124,6 +136,10 @@ class CdclSolver:
         self.var_inc = 1.0
         # equal keys in ascending variable order: already a valid heap
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
+        self.in_heap: list[float | None] = [None] + [0.0] * n
+        self.seen = bytearray(n + 1)  # _analyze's marks, all clear between calls
+        self.decisions = 0
+        self.propagations = 0
         self.learned_ids: list[int] = []
         self.num_original = 0
         for clause in formula.clauses:  # normalised by CnfFormula.add_clause
@@ -178,13 +194,17 @@ class CdclSolver:
             return
         lim = self.trail_lim[lvl]
         value, phase, reason = self.value, self.phase, self.reason
+        heap, activity, in_heap = self.heap, self.activity, self.in_heap
         for i in range(len(self.trail) - 1, lim - 1, -1):
             lit = self.trail[i]
             v = abs(lit)
             phase[v] = lit > 0
             value[lit] = value[-lit] = None
             reason[v] = None
-            heappush(self.heap, (-self.activity[v], v))
+            act = activity[v]
+            if in_heap[v] != act:
+                heappush(heap, (-act, v))
+                in_heap[v] = act
         del self.trail[lim:]
         del self.trail_lim[lvl:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -192,12 +212,14 @@ class CdclSolver:
     # ---- propagation ---------------------------------------------------
 
     def _propagate(self) -> int | None:
-        clauses = self.clauses
-        value = self.value
-        watches = self.watches
-        while self.qhead < len(self.trail):
-            neg = -self.trail[self.qhead]
-            self.qhead += 1
+        """Run unit propagation to fixpoint; the conflict clause id, if any."""
+        clauses, value, watches = self.clauses, self.value, self.watches
+        level, reason, trail = self.level, self.reason, self.trail
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
             ws = watches[neg]
             i = j = 0
             end = len(ws)
@@ -226,70 +248,84 @@ class CdclSolver:
                     j += 1
                     if fv is False:  # first watch falsified too: conflict
                         del ws[j:i]
+                        self.propagations += qhead - self.qhead
+                        self.qhead = qhead
                         return ci
-                    self._enqueue(first, ci)
+                    value[first] = True  # as _enqueue(first, ci)
+                    value[-first] = False
+                    v = abs(first)
+                    level[v] = lvl
+                    reason[v] = ci
+                    trail.append(first)
             del ws[j:]
+        self.propagations += qhead - self.qhead
+        self.qhead = qhead
         return None
 
     # ---- conflict analysis ----------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        if act > 1e100:
-            self._rescale()
-        elif self.value[v] is None:
-            heappush(self.heap, (-act, v))
-
     def _rescale(self) -> None:
+        activity, value, in_heap = self.activity, self.value, self.in_heap
         for v in range(1, self.num_vars + 1):
-            self.activity[v] *= 1e-100
+            activity[v] *= 1e-100
+            in_heap[v] = activity[v] if value[v] is None else None
         self.var_inc *= 1e-100
-        self.heap = [(-self.activity[v], v)
-                     for v in range(1, self.num_vars + 1)
-                     if self.value[v] is None]
-        self.heap.sort()
+        heap = self.heap  # rebuilt in place: _analyze holds a reference
+        heap[:] = [(-activity[v], v) for v in range(1, self.num_vars + 1)
+                   if value[v] is None]
+        heap.sort()
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
+        clauses, trail, level = self.clauses, self.trail, self.level
+        value, activity, in_heap = self.value, self.activity, self.in_heap
+        heap, reason, seen, var_inc = self.heap, self.reason, self.seen, self.var_inc
         learnt: list[int] = [0]
-        seen = bytearray(self.num_vars + 1)
         cur_level = len(self.trail_lim)
         counter = 0
         p = 0
-        index = len(self.trail) - 1
-        c = self.clauses[confl]
+        index = len(trail) - 1
+        c = clauses[confl]
         while True:
             assert c is not None
             for pos in range(0 if p == 0 else 1, len(c)):
                 q = c[pos]
                 v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
+                    act = activity[v] + var_inc  # VSIDS bump
+                    activity[v] = act
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc = self.var_inc
+                    elif value[v] is None:
+                        heappush(heap, (-act, v))
+                        in_heap[v] = act
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[index])]:
+            while not seen[abs(trail[index])]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
             v = abs(p)
             seen[v] = 0
             counter -= 1
             if counter == 0:
                 break
-            c = self.clauses[self.reason[v]]
+            c = clauses[reason[v]]
         learnt[0] = -p
+        for q in learnt[1:]:  # the current level's marks are already clear
+            seen[abs(q)] = 0
         if len(learnt) == 1:
             return learnt, 0
         # watch the asserting literal and a literal from the backjump level
         best = 1
         for pos in range(2, len(learnt)):
-            if self.level[abs(learnt[pos])] > self.level[abs(learnt[best])]:
+            if level[abs(learnt[pos])] > level[abs(learnt[best])]:
                 best = pos
         learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _record_learnt(self, learnt: list[int]) -> None:
         if len(learnt) == 1:
@@ -323,11 +359,13 @@ class CdclSolver:
     # ---- decisions -------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        heap, value, activity = self.heap, self.value, self.activity
+        heap, value, in_heap = self.heap, self.value, self.in_heap
         while heap:
             na, v = heappop(heap)
-            if value[v] is None and -na == activity[v]:
-                return v
+            if -na == in_heap[v]:  # v's live entry: it leaves the heap
+                in_heap[v] = None
+                if value[v] is None:
+                    return v
         return 0
 
     # ---- main loop -------------------------------------------------------
@@ -396,6 +434,7 @@ class CdclSolver:
                     model = [bool(val) for val in self.value[:self.num_vars + 1]]
                     self._cancel_until(0)
                     return SolveOutcome(SolveStatus.SAT, model, conflicts)
+                self.decisions += 1
                 next_lit = v if self.phase[v] else -v
             self.trail_lim.append(len(self.trail))
             self._enqueue(next_lit, None)
@@ -419,13 +458,13 @@ EngineFactory = Callable[[CnfFormula], "CdclSolver"]
 ENGINES: dict[str, EngineFactory] = {"bundled": CdclSolver}
 
 
-def make_engine(formula: CnfFormula, name: str = "bundled"):
+def engine_factory(name: str = "bundled") -> EngineFactory:
+    """The ENGINES entry called name; ValueError for an unknown name."""
     try:
-        factory = ENGINES[name]
+        return ENGINES[name]
     except KeyError:
         raise ValueError(f"unknown solver engine {name!r}; "
                          f"available: {sorted(ENGINES)}") from None
-    return factory(formula)
 
 
 class ModelCapExceeded(RuntimeError):
@@ -449,7 +488,7 @@ def enumerate_models_projected(f: CnfFormula, proj: Iterable[int],
     for v in proj_vars:
         if not 1 <= v <= f.num_vars:
             raise ValueError(f"projection variable {v} not allocated")
-    ctx = make_engine(f, engine)
+    ctx = engine_factory(engine)(f)
     out: list[tuple[int, ...]] = []
     while True:
         res = ctx.solve()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
+from gicsat.gismo import run_gismo
 from gicsat.graph import build_graph, closed_neighborhood_set, parse_graph
 from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus,
                             enumerate_models_projected)
@@ -124,6 +125,24 @@ def test_query_rejects_non_positive_budget(k):
     x_a, _ = xy(inst, "a")
     with pytest.raises(ValueError):
         ctx.query(set(inst.z_vars) - {x_a}, x_a, budget=0)
+
+
+@pytest.mark.parametrize("k,sensors", [(1, "c d"), (2, "a c d e")])
+def test_no_engine_is_built_at_k_le_2(monkeypatch, k, sensors):
+    # the scan answers every query, so the engine is never built
+    def boom(*a, **kw):
+        raise AssertionError("k <= 2 must not construct a solver")
+
+    monkeypatch.setattr(CdclSolver, "__init__", boom)
+    inst = encode_instance(fig1(), k)
+    res = run_gismo(inst)
+    assert " ".join(sorted(inst.graph.labels[v] for v in res.sensor_set)) == sensors
+
+
+def test_unknown_engine_fails_at_construction():
+    # the engine is built lazily, but its name is checked up front
+    with pytest.raises(ValueError, match="unknown solver engine"):
+        DefinabilityContext(encode_instance(fig1(), 3), engine="no-such-engine")
 
 
 def test_query_rejects_non_projected_vars():

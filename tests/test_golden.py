@@ -4,7 +4,12 @@ With no budget exhaustion the sensor set depends only on the graph, k and
 the processing order, never on how the definability queries are run, so a
 refactor of the query path must reproduce these sets exactly.  Labels are
 listed in string order.  At k <= 2 the failure-set scan answers every
-query; the k=3 rows also run the engine on the scan's misses.
+query, with no conflicts; the k=3 rows also run the engine on the scan's
+misses.
+
+The engine's conflict count on each k=3 row is pinned too, per inner
+order: it changes only when the engine's search changes, so a change that
+alters the search updates these pins and says so in CHANGES.md.
 """
 
 from pathlib import Path
@@ -47,6 +52,20 @@ GOLDEN = {
     ("path20.edges", 3): "0 1 10 11 12 13 14 15 16 17 18 19 2 3 4 5 6 7 8 9",
 }
 
+# (graph file, inner order) -> total_conflicts of the k=3 row
+K3_CONFLICTS = {
+    ("fig1.edges", "y-first"): 2,
+    ("gnp30.edges", "y-first"): 571,
+    ("gnp50.edges", "y-first"): 940,
+    ("grid5x5.edges", "y-first"): 16,
+    ("path20.edges", "y-first"): 2,
+    ("fig1.edges", "x-first"): 0,
+    ("gnp30.edges", "x-first"): 320,
+    ("gnp50.edges", "x-first"): 704,
+    ("grid5x5.edges", "x-first"): 23,
+    ("path20.edges", "x-first"): 8,
+}
+
 
 def test_golden_covers_every_data_graph():
     # a k is skipped only where it exceeds n
@@ -56,6 +75,8 @@ def test_golden_covers_every_data_graph():
         n = parse_graph_file(str(DATA / name)).n
         assert {k for gname, k in GOLDEN if gname == name} == \
             {1, 2, 3} & set(range(1, n + 1))
+    assert {(name, inner) for name, k in GOLDEN if k == 3
+            for inner in INNER_ORDERS} == set(K3_CONFLICTS)
 
 
 @pytest.mark.parametrize("inner", INNER_ORDERS)
@@ -66,3 +87,4 @@ def test_golden_sensor_set(name, k, inner):
                     GismoConfig(order="input", inner_order=inner))
     assert res.budget_exhaustions == 0
     assert " ".join(sorted(g.labels[v] for v in res.sensor_set)) == GOLDEN[name, k]
+    assert res.total_conflicts == (K3_CONFLICTS[name, inner] if k == 3 else 0)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
-                            SolveStatus, check_model,
-                            enumerate_models_projected, make_engine,
-                            read_dimacs, write_dimacs)
+                            SolveStatus, check_model, engine_factory,
+                            enumerate_models_projected, read_dimacs,
+                            write_dimacs)
 
 
 # ---- independent brute-force oracles --------------------------------------
@@ -137,7 +137,7 @@ def test_solve_incremental_reuse():
     rng = random.Random(7)
     for _ in range(20):
         f = random_formula(rng, max_vars=7, max_clauses=25)
-        eng = make_engine(f)
+        eng = engine_factory()(f)
         for _ in range(12):
             vs = rng.sample(range(1, f.num_vars + 1),
                             rng.randint(0, min(3, f.num_vars)))
@@ -153,7 +153,7 @@ def test_solve_incremental_added_clauses():
     f = CnfFormula()
     x1, x2, x3 = f.new_vars(3)
     f.add_clause([x1, x2, x3])
-    eng = make_engine(f)
+    eng = engine_factory()(f)
     assert eng.solve().status is SolveStatus.SAT
     eng.add_clause([-x1])
     eng.add_clause([-x2])
@@ -196,6 +196,53 @@ def test_budget_validation():
         CdclSolver(f).solve(budget=0)
 
 
+def test_counters_repeat_and_are_pinned():
+    # decisions and propagations are deterministic search counts
+    runs = []
+    for _ in range(2):
+        eng = CdclSolver(pigeonhole(5, 4))
+        out = eng.solve()
+        runs.append((out.status, out.conflicts_used, eng.decisions,
+                     eng.propagations))
+    assert runs[0] == runs[1] == (SolveStatus.UNSAT, 28, 38, 297)
+
+
+def assert_one_live_heap_entry(eng):
+    """Each variable's heap entries at its in_heap key number one, or none
+    when in_heap is None; an unassigned variable's key is its activity."""
+    for v in range(1, eng.num_vars + 1):
+        live = sum(u == v and -na == eng.in_heap[v] for na, u in eng.heap)
+        assert live == (eng.in_heap[v] is not None)
+        if eng.value[v] is None:
+            assert eng.in_heap[v] == eng.activity[v]
+
+
+def test_rescale_keeps_answers_and_heap():
+    # var_inc is pushed near the 1e100 limit before each call, so the
+    # conflicts' bumps rescale every activity and rebuild the heap
+    rng = random.Random(5)
+    rescales = 0
+    for _ in range(30):
+        f = CnfFormula(8)  # random 3-SAT near the threshold: conflicts
+        for _ in range(34):
+            f.add_clause([v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, 9), 3)])
+        eng = CdclSolver(f)
+        for _ in range(8):
+            vs = rng.sample(range(1, f.num_vars + 1),
+                            rng.randint(0, min(3, f.num_vars)))
+            assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+            eng.var_inc = 0.9e100
+            got = eng.solve(assumptions)
+            rescales += eng.var_inc < 1e50
+            expect = brute_force_solve(f, assumptions)
+            assert (got.status is SolveStatus.SAT) == (expect is not None)
+            if got.status is SolveStatus.SAT:
+                assert check_model(f, got.model)
+            assert_one_live_heap_entry(eng)
+    assert rescales >= 10
+
+
 def literals(n):
     return st.integers(-n, n).filter(bool)
 
@@ -231,6 +278,7 @@ def test_reused_solver_matches_brute_force(n, data):
                                    sign * fixed)
         budget = data.draw(st.sampled_from([1, 2, 5, None]))
         out = eng.solve(assumptions, budget)
+        assert_one_live_heap_entry(eng)
         assert budget is None or out.conflicts_used <= budget
         if out.status is SolveStatus.SAT:
             assert check_model(f, out.model)
