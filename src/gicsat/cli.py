@@ -27,6 +27,8 @@ EXIT_RESOURCE = 3
 DEFAULT_BUDGET = 5000
 DEFAULT_TIME_LIMIT = 3600.0
 DEFAULT_MEM_LIMIT_MB = 4096
+# verify cross-checks the CNF truth table up to this many failure sets
+TRUTH_TABLE_LIMIT = 4096
 
 
 class UsageError(Exception):
@@ -277,7 +279,7 @@ def cmd_verify(args) -> int:
           f"of size <= {args.k}")
 
     # cross-check against the CNF truth table when small enough to enumerate
-    if oracle.failure_set_count(g.n, args.k) <= 4096:
+    if oracle.failure_set_count(g.n, args.k) <= TRUTH_TABLE_LIMIT:
         inst = encoder.encode_instance(g, args.k)
         ok = oracle.is_gis_bruteforce(inst, set(sensors))
         print(f"truth-table cross-check: {'PASS' if ok else 'FAIL'}")

@@ -3,12 +3,16 @@
 The engine is a conflict-driven clause-learning solver with two-literal
 watching, first-UIP learning, VSIDS-style branching, phase saving and Luby
 restarts.  It is built once from a CnfFormula, whose variable count fixes
-its size; after that its surface is add_clause(lits) and
-solve(assumptions, budget).  Each solve call takes assumption literals and
-a conflict budget, and learned clauses are kept across calls (they are
-entailed by the clause database alone, never by assumptions, so reuse is
-sound).  Per-literal state lives in flat lists indexed by the signed
-literal itself (see CdclSolver).
+its size; after that its surface is add_clause(lits),
+solve(assumptions, budget) and enumerate_projected(proj, cap).  Each solve
+call takes assumption literals and a conflict budget, and learned clauses
+are kept across calls (they are entailed by the clause database alone,
+never by assumptions, so reuse is sound).  enumerate_projected lists every
+projected model in one search: each model is blocked by a clause, and the
+search backjumps to where that clause asserts or conflicts instead of
+restarting at the root.  solve and enumerate_projected share one CDCL loop
+(CdclSolver._search).  Per-literal state lives in flat lists indexed by the
+signed literal itself (see CdclSolver).
 
 Everything here is deterministic: no randomness, stable tie-breaking by
 variable index, insertion-ordered containers only.
@@ -383,6 +387,70 @@ class CdclSolver:
         for lit in assumptions:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"assumption {lit} references an unallocated variable")
+        return self._search(assumptions, budget, None)
+
+    def enumerate_projected(self, proj: Sequence[int],
+                            cap: int) -> list[tuple[int, ...]]:
+        """Every model of the clause database projected on proj, in one search.
+
+        proj holds distinct allocated variables; each row lists their
+        literals in proj's order.  Each model found is blocked by the
+        negation of its row and the search goes on from where the blocking
+        clause becomes unit or conflicting, not from the root.  Blocking
+        clauses stay in the database, so the engine ends UNSAT.  Raises
+        ModelCapExceeded on model number cap + 1.
+        """
+        value = self.value
+        rows: list[tuple[int, ...]] = []
+
+        def block_model() -> int | None:
+            if len(rows) >= cap:
+                raise ModelCapExceeded(cap)
+            row = tuple(v if value[v] else -v for v in proj)
+            rows.append(row)
+            return self._add_blocking([-lit for lit in row])
+
+        self._search((), _NO_BUDGET, block_model)
+        return rows
+
+    def _add_blocking(self, clause: list[int]) -> int | None:
+        """Add a blocking clause, which the full current assignment falsifies.
+
+        Root-false literals are dropped and the rest sorted by descending
+        level.  An empty clause makes the database UNSAT.  A clause with one
+        literal at its top level backjumps to its next level (the root for a
+        unit) and asserts that literal; otherwise it cancels to the top
+        level and returns the clause id as a conflict for _analyze.
+        Blocking clauses count as original, so _reduce_db never deletes them.
+        """
+        level = self.level
+        clause = sorted((lit for lit in clause if level[abs(lit)] > 0),
+                        key=lambda lit: -level[abs(lit)])
+        self.num_original += 1
+        if not clause:
+            self.ok = False
+            return None
+        if len(clause) == 1:
+            self._cancel_until(0)
+            self._enqueue(clause[0], None)
+            return None
+        top, second = level[abs(clause[0])], level[abs(clause[1])]
+        if second < top:
+            self._cancel_until(second)
+            self._enqueue(clause[0], self._attach(clause))
+            return None
+        self._cancel_until(top)
+        return self._attach(clause)
+
+    def _search(self, assumptions: Sequence[int], budget: int,
+                on_model: Callable[[], int | None] | None) -> SolveOutcome:
+        """The CDCL loop of solve and enumerate_projected.
+
+        With on_model None the first model ends the search.  Otherwise
+        on_model is called at each model; it blocks the model and returns
+        a conflict clause id, or None once it has asserted a literal or
+        made the database UNSAT, and the search goes on until UNSAT.
+        """
         self._cancel_until(0)
         if not self.ok:
             return SolveOutcome(SolveStatus.UNSAT, None, 0)
@@ -394,50 +462,57 @@ class CdclSolver:
 
         while True:
             confl = self._propagate()
-            if confl is not None:
-                conflicts += 1
-                conflicts_since_restart += 1
-                if not self.trail_lim:
-                    self.ok = False
-                    return SolveOutcome(SolveStatus.UNSAT, None, conflicts)
-                learnt, bt = self._analyze(confl)
-                self._cancel_until(bt)
-                self._record_learnt(learnt)
-                self.var_inc /= 0.95
-                if conflicts >= budget:
-                    self._cancel_until(0)
-                    return SolveOutcome(SolveStatus.BUDGET_EXHAUSTED, None, conflicts)
-                if conflicts_since_restart >= restart_limit:
-                    restart_count += 1
-                    restart_limit = 128 * _luby(restart_count + 1)
-                    conflicts_since_restart = 0
-                    self._cancel_until(0)
-                continue
+            if confl is None:
+                self._reduce_db()
 
-            self._reduce_db()
-
-            next_lit = 0
-            while len(self.trail_lim) < len(assumptions):
-                p = assumptions[len(self.trail_lim)]
-                val = self.value[p]
-                if val is True:
-                    self.trail_lim.append(len(self.trail))  # placeholder level
-                elif val is False:
-                    self._cancel_until(0)
-                    return SolveOutcome(SolveStatus.UNSAT, None, conflicts)
-                else:
-                    next_lit = p
-                    break
-            if next_lit == 0:
-                v = self._pick_branch_var()
-                if v == 0:
+                next_lit = 0
+                while len(self.trail_lim) < len(assumptions):
+                    p = assumptions[len(self.trail_lim)]
+                    val = self.value[p]
+                    if val is True:
+                        self.trail_lim.append(len(self.trail))  # placeholder level
+                    elif val is False:
+                        self._cancel_until(0)
+                        return SolveOutcome(SolveStatus.UNSAT, None, conflicts)
+                    else:
+                        next_lit = p
+                        break
+                if next_lit == 0:
+                    v = self._pick_branch_var()
+                    if v:
+                        self.decisions += 1
+                        next_lit = v if self.phase[v] else -v
+                if next_lit:
+                    self.trail_lim.append(len(self.trail))
+                    self._enqueue(next_lit, None)
+                    continue
+                if on_model is None:
                     model = [bool(val) for val in self.value[:self.num_vars + 1]]
                     self._cancel_until(0)
                     return SolveOutcome(SolveStatus.SAT, model, conflicts)
-                self.decisions += 1
-                next_lit = v if self.phase[v] else -v
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(next_lit, None)
+                confl = on_model()
+                if not self.ok:
+                    return SolveOutcome(SolveStatus.UNSAT, None, conflicts)
+                if confl is None:
+                    continue
+
+            conflicts += 1
+            conflicts_since_restart += 1
+            if not self.trail_lim:
+                self.ok = False
+                return SolveOutcome(SolveStatus.UNSAT, None, conflicts)
+            learnt, bt = self._analyze(confl)
+            self._cancel_until(bt)
+            self._record_learnt(learnt)
+            self.var_inc /= 0.95
+            if conflicts >= budget:
+                self._cancel_until(0)
+                return SolveOutcome(SolveStatus.BUDGET_EXHAUSTED, None, conflicts)
+            if conflicts_since_restart >= restart_limit:
+                restart_count += 1
+                restart_limit = 128 * _luby(restart_count + 1)
+                conflicts_since_restart = 0
+                self._cancel_until(0)
 
 
 def _luby(i: int) -> int:
@@ -450,8 +525,9 @@ def _luby(i: int) -> int:
 
 
 # A solver engine is anything built from a CnfFormula that offers the
-# CdclSolver call surface: add_clause(lits) and
-# solve(assumptions, budget) -> SolveOutcome.  External high-performance
+# CdclSolver call surface: add_clause(lits),
+# solve(assumptions, budget) -> SolveOutcome and
+# enumerate_projected(proj, cap) -> rows.  External high-performance
 # solvers can be plugged in by registering such a factory.
 EngineFactory = Callable[[CnfFormula], "CdclSolver"]
 
@@ -480,26 +556,15 @@ def enumerate_models_projected(f: CnfFormula, proj: Iterable[int],
                                engine: str = "bundled") -> list[tuple[int, ...]]:
     """All distinct models projected on proj, as tuples of signed literals.
 
-    Implemented as a blocking-clause loop over the projection set; intended
-    for desk-scale formulas.  Raises ModelCapExceeded instead of silently
-    truncating.
+    Rows are over sorted(set(proj)), found by one blocking-clause search of
+    the engine (its enumerate_projected); intended for desk-scale formulas.
+    Raises ModelCapExceeded instead of silently truncating.
     """
     proj_vars = sorted(set(proj))
     for v in proj_vars:
         if not 1 <= v <= f.num_vars:
             raise ValueError(f"projection variable {v} not allocated")
-    ctx = engine_factory(engine)(f)
-    out: list[tuple[int, ...]] = []
-    while True:
-        res = ctx.solve()
-        if res.status is not SolveStatus.SAT:
-            return out
-        assert res.model is not None
-        row = tuple(v if res.model[v] else -v for v in proj_vars)
-        if len(out) >= cap:
-            raise ModelCapExceeded(cap)
-        out.append(row)
-        ctx.add_clause([-lit for lit in row])
+    return engine_factory(engine)(f).enumerate_projected(proj_vars, cap)
 
 
 # ---- DIMACS ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicsat.definability import DefinabilityContext
@@ -141,8 +141,23 @@ def drawn_runs(draw):
     return build_graph(n, pairs), k, order, draw(st.sampled_from(INNER_ORDERS))
 
 
+def clique(n):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def star(leaves):
+    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(drawn_runs())
+# named shapes: cliques, stars, and k = n
+@example((clique(5), 2, (4, 3, 2, 1, 0), "y-first"))
+@example((clique(4), 4, (0, 1, 2, 3), "x-first"))
+@example((star(5), 2, (0, 1, 2, 3, 4, 5), "y-first"))
+@example((star(4), 1, (3, 0, 4, 1, 2), "x-first"))
+@example((build_graph(4, [(0, 1), (1, 2), (2, 3)]), 4, (1, 3, 0, 2), "y-first"))
+@example((star(3), 4, (0, 1, 2, 3), "x-first"))
 def test_drawn_graphs_match_independent_minimizer(run):
     g, k, order, inner = run
     inst = encode_instance(g, k)

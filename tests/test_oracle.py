@@ -2,14 +2,19 @@ import io
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from gicsat.cli import TRUTH_TABLE_LIMIT
 from gicsat.encoder import encode_instance
-from gicsat.graph import build_graph, parse_graph
-from gicsat.oracle import (EnumerationBudgetError, find_signature_collision,
+from gicsat.graph import build_graph, parse_graph, parse_graph_file
+from gicsat.oracle import (EnumerationBudgetError, closed_masks,
+                           failure_set_count, find_signature_collision,
                            is_gics, is_gis_bruteforce, min_gics_exhaustive,
                            projected_models, signature)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
 
@@ -170,3 +175,30 @@ def test_reduction_cross_validation_random():
             sensors = {v for v in range(n) if rng.random() < 0.5}
             assert is_gics(g, sensors, k) == \
                 is_gis_bruteforce(inst, sensors, models)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.edges")), ids=lambda p: p.name)
+def test_truth_table_is_one_row_per_failure_set(path):
+    # every k that `gicsat verify` cross-checks against the truth table; the
+    # expected rows come from the graph alone: x = F and y = N[F]
+    g = parse_graph_file(str(path))
+    closed = closed_masks(g)
+    for k in range(1, min(3, g.n) + 1):
+        if failure_set_count(g.n, k) > TRUTH_TABLE_LIMIT:
+            continue
+        inst = encode_instance(g, k)
+        expected = set()
+        for size in range(k + 1):
+            for failed in combinations(range(g.n), size):
+                nmask = 0
+                for v in failed:
+                    nmask |= closed[v]
+                value = {}
+                for v in range(g.n):
+                    value[inst.x[v]] = v in failed
+                    value[inst.y[v]] = bool(nmask >> v & 1)
+                expected.add(tuple(var if value[var] else -var
+                                   for var in sorted(inst.z_vars)))
+        rows = projected_models(inst, cap=failure_set_count(g.n, k))
+        assert len(rows) == len(expected) == failure_set_count(g.n, k)
+        assert set(rows) == expected

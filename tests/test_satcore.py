@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
@@ -329,6 +329,42 @@ def test_enumerate_cap_exceeded_raises():
     f.add_clause([1, 2, 3])
     with pytest.raises(ModelCapExceeded):
         enumerate_models_projected(f, [1, 2, 3], cap=3)
+
+
+@st.composite
+def drawn_enumerations(draw):
+    """Clauses on at most 7 variables, a projection that may be empty or
+    repeat variables, and a cap around the number of projected models."""
+    n = draw(st.integers(1, 7))
+    clause_list = draw(st.lists(clauses(n), max_size=4 * n))
+    proj = draw(st.lists(st.integers(1, n), max_size=n + 2))
+    cap = draw(st.integers(0, 1 << min(n, len(set(proj)))))
+    return n, clause_list, proj, cap
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(drawn_enumerations())
+# every projected variable fixed at the root: an empty blocking clause
+@example((3, [[1], [-2], [2, 3]], [2, 1, 2], 1))
+# UNSAT by a conflict at the root
+@example((2, [[-1, 2], [-1, -2], [1]], [1, 2], 4))
+# the last decision before each model is a variable outside the projection
+@example((3, [], [1, 2], 4))
+@example((4, [[1, 2, 3, 4]], [2, 1], 4))
+@example((3, [[1, 2], [1, 3]], [2, 3], 4))
+def test_enumeration_matches_brute_force(drawn):
+    n, clause_list, proj, cap = drawn
+    f = CnfFormula(n)
+    f.add_clauses(clause_list)
+    expect = brute_force_projected(f, set(proj))
+    if len(expect) > cap:
+        with pytest.raises(ModelCapExceeded):
+            enumerate_models_projected(f, proj, cap)
+        return
+    rows = enumerate_models_projected(f, proj, cap)
+    assert len(set(rows)) == len(rows)
+    assert all([abs(lit) for lit in row] == sorted(set(proj)) for row in rows)
+    assert set(rows) == expect
 
 
 # ---- DIMACS -------------------------------------------------------------------
