@@ -13,9 +13,9 @@ from .satcore import (CdclSolver, CnfFormula, ModelCapExceeded, SolveOutcome,
                       enumerate_models_projected, read_dimacs, write_dimacs)
 from .encoder import (EncodedInstance, encode_cardinality, encode_detection,
                       encode_instance)
-from .definability import DefinabilityContext
-from .gismo import (GismoConfig, GisResult, GroupLog, QueryRecord,
-                    VerifyReport, run_gismo, verify_result)
+from .definability import DefinabilityContext, QueryAnswer
+from .gismo import (GismoConfig, GisResult, GroupLog, VerifyReport, run_gismo,
+                    verify_result)
 from .oracle import (EnumerationBudgetError, Signature, failure_set_count,
                      find_signature_collision, is_gics, is_gis_bruteforce,
                      min_gics_exhaustive, projected_models, signature)

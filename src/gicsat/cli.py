@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 from . import encoder, gismo, oracle
@@ -82,7 +83,6 @@ def _build_parser() -> _Parser:
                      help="group order: input, deg-desc, deg-asc, random, "
                           "or an explicit comma-separated label list")
     sol.add_argument("--seed", type=int, default=None)
-    sol.add_argument("--inner", choices=gismo.INNER_ORDERS, default="y-first")
     sol.add_argument("--output", default=None, help="also write the JSON record here")
     sol.add_argument("--timing", action="store_true",
                      help="include wall-clock seconds in the record "
@@ -124,6 +124,9 @@ def _check_k(g: Graph, k: int) -> None:
 
 def _apply_limits(time_limit: float | None, mem_limit_mb: int | None):
     """Arm per-run limits; returns a restore callable for in-process callers."""
+    on_main = threading.current_thread() is threading.main_thread()
+    if time_limit is not None and not on_main:  # SIGALRM is main-thread only
+        raise UsageError("--time-limit works only on the main thread")
     restores = []
     if mem_limit_mb is not None:
         import resource
@@ -228,7 +231,6 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
             "order": (cfg.order if isinstance(cfg.order, str)
                       else [g.labels[v] for v in cfg.order]),
             "seed": cfg.seed,
-            "inner": cfg.inner_order,
         },
         "sensor_count": len(result.sensor_set),
         "sensors": [g.labels[v] for v in sorted(result.sensor_set)],
@@ -249,7 +251,7 @@ def cmd_solve(args) -> int:
         _check_k(g, args.k)
         cfg = gismo.GismoConfig(budget=args.budget,
                                 order=_parse_order(args.order, g),
-                                seed=args.seed, inner_order=args.inner)
+                                seed=args.seed)
         record = solve_record(args.graph, g, args.k, cfg, timing=args.timing)
     finally:
         restore()
@@ -265,7 +267,7 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.format)
     _check_k(g, args.k)
     try:
-        sensors = [g.index_of(t) for t in args.sensors.split(",") if t]
+        sensors = {g.index_of(t) for t in args.sensors.split(",") if t}
     except KeyError as exc:
         raise UsageError(f"--sensors: {exc.args[0]}") from exc
 
@@ -281,7 +283,7 @@ def cmd_verify(args) -> int:
     # cross-check against the CNF truth table when small enough to enumerate
     if oracle.failure_set_count(g.n, args.k) <= TRUTH_TABLE_LIMIT:
         inst = encoder.encode_instance(g, args.k)
-        ok = oracle.is_gis_bruteforce(inst, set(sensors))
+        ok = oracle.is_gis_bruteforce(inst, sensors)
         print(f"truth-table cross-check: {'PASS' if ok else 'FAIL'}")
         if not ok:
             return EXIT_USAGE

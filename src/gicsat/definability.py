@@ -44,8 +44,9 @@ Witness = tuple[frozenset[int], frozenset[int]]
 
 @dataclass(frozen=True)
 class QueryAnswer:
-    """One definability answer; witness (F1, F2) is present iff SAT."""
+    """One definability answer about target var; witness (F1, F2) iff SAT."""
 
+    var: int
     status: SolveStatus
     witness: Witness | None
     conflicts_used: int
@@ -122,10 +123,11 @@ class DefinabilityContext:
                 if code & tbit:
                     first, code = code, first
                 xmask = (1 << self._inst.graph.n) - 1
-                return QueryAnswer(SolveStatus.SAT, (mask_to_set(first & xmask),
-                                                     mask_to_set(code & xmask)), 0)
+                return QueryAnswer(target, SolveStatus.SAT,
+                                   (mask_to_set(first & xmask),
+                                    mask_to_set(code & xmask)), 0)
         if self._inst.k <= 2:  # the pool held every failure set
-            return QueryAnswer(SolveStatus.UNSAT, None, 0)
+            return QueryAnswer(target, SolveStatus.UNSAT, None, 0)
         assumptions = [self.indicators[z] for z in self.z_order if z in defining]
         assumptions += [target, -self.hat[target]]
         if self._engine is None:
@@ -136,7 +138,7 @@ class DefinabilityContext:
             m, x = out.model, self._inst.x
             witness = (frozenset(v for v, z in enumerate(x) if m[z]),
                        frozenset(v for v, z in enumerate(x) if m[self.hat[z]]))
-        return QueryAnswer(out.status, witness, out.conflicts_used)
+        return QueryAnswer(target, out.status, witness, out.conflicts_used)
 
     def _failure_set_pool(self) -> list[int]:
         """Every failure set S, |S| <= min(k, 2), as its x/y bitmask.

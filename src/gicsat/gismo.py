@@ -1,8 +1,10 @@
 """Greedy group elimination: compute a set-minimal grouped independent support.
 
 Starting from all groups, each node's group is tentatively removed; its two
-variables are tested for definability from the support, the groups not
-dropped so far (not yet processed groups plus groups already kept).  A
+variables are tested, y first and then x, for definability from the
+support, the groups not dropped so far (not yet processed groups plus
+groups already kept).  The probe order changes how many queries run, never
+which groups are kept.  A
 group stays selected as soon as one of its variables is not provably
 defined -- a satisfiable query or an exhausted conflict budget both keep
 the group, so budget exhaustion errs on the safe side and the output is a
@@ -20,12 +22,11 @@ import random
 from dataclasses import dataclass
 
 from . import oracle
-from .definability import DefinabilityContext, Witness
+from .definability import DefinabilityContext, QueryAnswer
 from .encoder import EncodedInstance
 from .satcore import SolveStatus
 
 ORDER_KEYWORDS = ("input", "deg-desc", "deg-asc", "random")
-INNER_ORDERS = ("y-first", "x-first")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class GismoConfig:
     budget: int = 5000
     order: str | tuple[int, ...] = "input"
     seed: int | None = None
-    inner_order: str = "y-first"
 
     def __post_init__(self):
         if self.budget < 1:
@@ -52,24 +52,12 @@ class GismoConfig:
                                  f"or an explicit node sequence")
         else:
             object.__setattr__(self, "order", tuple(self.order))
-        if self.inner_order not in INNER_ORDERS:
-            raise ValueError(f"inner_order must be one of {INNER_ORDERS}")
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """One query of run_gismo; witness is the SAT answer's failure-set pair."""
-
-    var: int
-    status: SolveStatus
-    conflicts: int
-    witness: Witness | None
 
 
 @dataclass(frozen=True)
 class GroupLog:
     node: int
-    tested: tuple[QueryRecord, ...]
+    tested: tuple[QueryAnswer, ...]
     kept: bool
 
 
@@ -110,28 +98,25 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
     support = set(inst.z_vars)  # the groups not dropped so far
     log: list[GroupLog] = []
     for v in group_order(inst, cfg):
-        group = inst.group_of(v)  # (x_v, y_v)
-        defining = support.difference(group)
-        inner = group[::-1] if cfg.inner_order == "y-first" else group
-        tested: list[QueryRecord] = []
-        for z in inner:
-            answer = ctx.query(defining, z, cfg.budget)
-            tested.append(QueryRecord(z, answer.status, answer.conflicts_used,
-                                      answer.witness))
-            if answer.status is not SolveStatus.UNSAT:
+        x_v, y_v = inst.group_of(v)
+        defining = support.difference((x_v, y_v))
+        tested: list[QueryAnswer] = []
+        for z in (y_v, x_v):
+            tested.append(ctx.query(defining, z, cfg.budget))
+            if tested[-1].status is not SolveStatus.UNSAT:
                 break  # not provably defined: the whole group stays
         kept = tested[-1].status is not SolveStatus.UNSAT
         if not kept:
-            support.difference_update(group)
+            support.difference_update((x_v, y_v))
         log.append(GroupLog(node=v, tested=tuple(tested), kept=kept))
-    records = [r for e in log for r in e.tested]
+    answers = [a for e in log for a in e.tested]
     return GisResult(
         sensor_set=frozenset(e.node for e in log if e.kept),
         per_group_log=tuple(log),
-        budget_exhaustions=sum(r.status is SolveStatus.BUDGET_EXHAUSTED
-                               for r in records),
-        total_queries=len(records),
-        total_conflicts=sum(r.conflicts for r in records))
+        budget_exhaustions=sum(a.status is SolveStatus.BUDGET_EXHAUSTED
+                               for a in answers),
+        total_queries=len(answers),
+        total_conflicts=sum(a.conflicts_used for a in answers))
 
 
 @dataclass(frozen=True)
@@ -146,15 +131,14 @@ class VerifyReport:
         return self.is_gis and not self.removable_groups
 
 
-def verify_result(inst: EncodedInstance, res: GisResult,
-                  cap: int = 1 << 20) -> VerifyReport:
+def verify_result(inst: EncodedInstance, res: GisResult) -> VerifyReport:
     """Desk-scale check of a run's output against enumerated projected models.
 
     Confirms the selected groups form a grouped independent support and
     reports every single group whose removal would preserve that property
     (none expected when no query exhausted its budget).
     """
-    models = oracle.projected_models(inst, cap=cap)
+    models = oracle.projected_models(inst)
     witness = oracle.find_gis_collision(inst, res.sensor_set, models)
     removable = [v for v in sorted(res.sensor_set)
                  if oracle.find_gis_collision(

@@ -83,7 +83,7 @@ def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]],
                  labels=tuple(labels))
 
 
-def parse_graph(stream: IO[str] | IO[bytes], fmt: str = "edgelist") -> Graph:
+def parse_graph(stream: IO[str], fmt: str = "edgelist") -> Graph:
     """Parse a graph from a text stream.
 
     Formats:
@@ -118,10 +118,6 @@ def parse_graph_file(path: str, fmt: str | None = None) -> Graph:
         return parse_graph(fp, fmt)
 
 
-def _decode(line) -> str:
-    return line.decode("utf-8") if isinstance(line, bytes) else line
-
-
 def _node(index: dict[str, int], label: str) -> int:
     """Dense index of a label, assigned in first-appearance order."""
     i = index.get(label)
@@ -134,7 +130,7 @@ def _parse_edgelist(stream) -> Graph:
     index: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(stream, start=1):
-        line = _decode(raw).strip()
+        line = raw.strip()
         if not line or line[0] in "#%":
             continue
         tokens = line.split()
@@ -153,7 +149,7 @@ def _parse_mtx(stream) -> Graph:
     declared: tuple[int, int] | None = None  # (nodes, entries)
     entries = 0
     for lineno, raw in enumerate(stream, start=1):
-        line = _decode(raw).strip()
+        line = raw.strip()
         if not line or line[0] in "%#":
             continue
         tokens = line.split()

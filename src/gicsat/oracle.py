@@ -131,8 +131,7 @@ def projected_models(inst: EncodedInstance,
 
 
 def find_gis_collision(inst: EncodedInstance, group_nodes: Iterable[int],
-                       models: Sequence[tuple[int, ...]] | None = None,
-                       cap: int = 1 << 20
+                       models: Sequence[tuple[int, ...]] | None = None
                        ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two projected models agreeing on the groups' support, if any exist.
 
@@ -141,7 +140,7 @@ def find_gis_collision(inst: EncodedInstance, group_nodes: Iterable[int],
     independent-support biconditional, and None means the groups qualify.
     """
     if models is None:
-        models = projected_models(inst, cap=cap)
+        models = projected_models(inst)
     support = {var for v in group_nodes for var in inst.group_of(v)}
     positions = [i for i, var in enumerate(inst.z_vars) if var in support]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -154,8 +153,7 @@ def find_gis_collision(inst: EncodedInstance, group_nodes: Iterable[int],
 
 
 def is_gis_bruteforce(inst: EncodedInstance, group_nodes: Iterable[int],
-                      models: Sequence[tuple[int, ...]] | None = None,
-                      cap: int = 1 << 20) -> bool:
+                      models: Sequence[tuple[int, ...]] | None = None) -> bool:
     """Truth-table check that the given node groups form a grouped
     independent support of the instance formula."""
-    return find_gis_collision(inst, group_nodes, models, cap) is None
+    return find_gis_collision(inst, group_nodes, models) is None

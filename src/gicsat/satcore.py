@@ -3,7 +3,7 @@
 The engine is a conflict-driven clause-learning solver with two-literal
 watching, first-UIP learning, VSIDS-style branching, phase saving and Luby
 restarts.  It is built once from a CnfFormula, whose variable count fixes
-its size; after that its surface is add_clause(lits),
+its size and whose clauses are its database; after that its surface is
 solve(assumptions, budget) and enumerate_projected(proj, cap).  Each solve
 call takes assumption literals and a conflict budget, and learned clauses
 are kept across calls (they are entailed by the clause database alone,
@@ -65,9 +65,16 @@ class CnfFormula:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Append a clause; duplicate literals dropped, tautologies skipped."""
-        clause = _normalise_clause(lits, self.num_vars)
-        if clause is None:
-            return
+        seen: set[int] = set()
+        clause: list[int] = []
+        for lit in lits:
+            if lit == 0 or abs(lit) > self.num_vars:
+                raise ValueError(f"literal {lit} references an unallocated variable")
+            if -lit in seen:
+                return  # tautology (x or not-x)
+            if lit not in seen:
+                seen.add(lit)
+                clause.append(lit)
         if not clause:
             raise ValueError("empty clause")
         self.clauses.append(clause)
@@ -78,21 +85,6 @@ class CnfFormula:
 
     def __len__(self) -> int:
         return len(self.clauses)
-
-
-def _normalise_clause(lits: Iterable[int], num_vars: int) -> list[int] | None:
-    """Checked literals, first occurrences in order; None for a tautology."""
-    seen: set[int] = set()
-    clause: list[int] = []
-    for lit in lits:
-        if lit == 0 or abs(lit) > num_vars:
-            raise ValueError(f"literal {lit} references an unallocated variable")
-        if -lit in seen:
-            return None  # tautology (x or not-x)
-        if lit not in seen:
-            seen.add(lit)
-            clause.append(lit)
-    return clause
 
 
 def clause_satisfied(clause: Sequence[int], model: Sequence[bool]) -> bool:
@@ -150,13 +142,6 @@ class CdclSolver:
             self._add_normalised(clause)
 
     # ---- clause management --------------------------------------------
-
-    def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause at the root level; usable between solve calls."""
-        self._cancel_until(0)
-        clause = _normalise_clause(lits, self.num_vars)
-        if clause is not None:
-            self._add_normalised(clause)
 
     def _add_normalised(self, clause: list[int]) -> None:
         """Drop root-false literals; skip the clause if one is root-true."""
@@ -525,8 +510,7 @@ def _luby(i: int) -> int:
 
 
 # A solver engine is anything built from a CnfFormula that offers the
-# CdclSolver call surface: add_clause(lits),
-# solve(assumptions, budget) -> SolveOutcome and
+# CdclSolver call surface: solve(assumptions, budget) -> SolveOutcome and
 # enumerate_projected(proj, cap) -> rows.  External high-performance
 # solvers can be plugged in by registering such a factory.
 EngineFactory = Callable[[CnfFormula], "CdclSolver"]

@@ -67,7 +67,7 @@ def test_criterion_1_worked_example():
     g = fig1()
     inst = encode_instance(g, 1)
     order = tuple(g.index_of(t) for t in "edcba")
-    res = run_gismo(inst, GismoConfig(order=order, inner_order="y-first"))
+    res = run_gismo(inst, GismoConfig(order=order))
     assert {g.labels[v] for v in res.sensor_set} == {"a", "c"}
     assert is_gics(g, res.sensor_set, 1)
     best, size = min_gics_exhaustive(g, 1)

@@ -2,8 +2,10 @@ import io
 import json
 import os
 import signal
+import resource
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -117,7 +119,8 @@ def test_solve_worked_example_order(tmp_path, capsys):
     rec = solve_json(tmp_path, capsys, "--order", "e,d,c,b,a")
     assert rec["sensors"] == ["a", "c"]
     assert rec["sensor_count"] == 2
-    assert rec["config"]["order"] == ["e", "d", "c", "b", "a"]
+    assert rec["config"] == {"budget": 5000, "order": ["e", "d", "c", "b", "a"],
+                             "seed": None}
     assert rec["budget_exhaustions"] == 0
     assert "wall_seconds" not in rec
 
@@ -205,6 +208,22 @@ def test_solve_time_limit_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_time_limit_off_the_main_thread_is_usage_error(capsys):
+    # only the main thread can take SIGALRM: refused before any limit is armed
+    handler = signal.getsignal(signal.SIGALRM)
+    rlimit = resource.getrlimit(resource.RLIMIT_AS)
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(run_cli(
+        ["solve", FIG1, "--k", "1", "--time-limit", "5", "--mem-limit", "4096"])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert codes == [1]
+    assert "--time-limit works only on the main thread" in capsys.readouterr().err
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert resource.getrlimit(resource.RLIMIT_AS) == rlimit
+
+
 def test_solve_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -222,6 +241,12 @@ def test_verify_pass(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "truth-table cross-check: PASS" in out
+
+
+def test_verify_repeated_sensor_counted_once(capsys):
+    assert run_cli(["verify", FIG1, "--k", "1", "--sensors", "a,c,a"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS: {a,c} identifies")
 
 
 def test_verify_fail_prints_witness(capsys):

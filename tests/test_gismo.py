@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
-from gicsat.gismo import (INNER_ORDERS, GismoConfig, GisResult, group_order,
-                          run_gismo, verify_result)
+from gicsat.gismo import (GismoConfig, GisResult, group_order, run_gismo,
+                          verify_result)
 from gicsat.graph import build_graph, parse_graph, parse_graph_file
 from gicsat.oracle import (is_gics, is_gis_bruteforce, min_gics_exhaustive,
                            projected_models, signature)
 from gicsat.satcore import SolveStatus
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PROBE_ORDERS = ("y-first", "x-first")
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
 HUGE = 10 ** 9
 
@@ -46,7 +47,7 @@ def fake_result(nodes):
 def test_fig1_worked_example_order():
     g = fig1()
     inst = encode_instance(g, 1)
-    cfg = GismoConfig(order=order_by_labels(g, "edcba"), inner_order="y-first")
+    cfg = GismoConfig(order=order_by_labels(g, "edcba"))
     res = run_gismo(inst, cfg)
     assert {g.labels[v] for v in res.sensor_set} == {"a", "c"}
     assert res.budget_exhaustions == 0
@@ -61,6 +62,8 @@ def test_fig1_worked_example_inner_break():
     cfg = GismoConfig(order=order_by_labels(g, "edcba"))
     res = run_gismo(inst, cfg)
     by_label = {g.labels[e.node]: e for e in res.per_group_log}
+    x_e, y_e = inst.group_of(g.index_of("e"))
+    assert [r.var for r in by_label["e"].tested] == [y_e, x_e]  # y first
     assert [r.status for r in by_label["e"].tested] == [SolveStatus.UNSAT] * 2
     assert [r.status for r in by_label["c"].tested] == \
         [SolveStatus.UNSAT, SolveStatus.SAT]
@@ -76,8 +79,11 @@ def test_complete_graph_two_nodes_k2_keeps_both():
     assert is_gis_bruteforce(inst, res.sensor_set)
 
 
-def table_gismo(inst, node_order, inner_order="y-first"):
-    """Independent replica of the group loop over the enumerated truth table."""
+def table_gismo(inst, node_order, probes="y-first"):
+    """Independent replica of the group loop over the enumerated truth table.
+
+    probes="x-first" tests x_v before y_v; the kept groups must not change.
+    """
     models = projected_models(inst)
     pos = {var: i for i, var in enumerate(inst.z_vars)}
 
@@ -96,8 +102,8 @@ def table_gismo(inst, node_order, inner_order="y-first"):
     for v in node_order:
         x_var, y_var = inst.group_of(v)
         candidates -= {x_var, y_var}
-        inner = (y_var, x_var) if inner_order == "y-first" else (x_var, y_var)
-        for z in inner:
+        probe = (y_var, x_var) if probes == "y-first" else (x_var, y_var)
+        for z in probe:
             if not defined(candidates | support, z):
                 selected.add(v)
                 support.update((x_var, y_var))
@@ -129,7 +135,8 @@ def test_random_instances_match_independent_minimizer():
 
 @st.composite
 def drawn_runs(draw):
-    """A graph on at most 6 nodes, any k, an explicit order, an inner order.
+    """A graph on at most 6 nodes, any k, an explicit order, a probe order
+    for the replica.
 
     Edge pairs may repeat or be self-loops, and nodes may stay isolated.
     """
@@ -138,7 +145,7 @@ def drawn_runs(draw):
     pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
     k = draw(st.integers(1, n))
     order = tuple(draw(st.permutations(range(n))))
-    return build_graph(n, pairs), k, order, draw(st.sampled_from(INNER_ORDERS))
+    return build_graph(n, pairs), k, order, draw(st.sampled_from(PROBE_ORDERS))
 
 
 def clique(n):
@@ -159,10 +166,10 @@ def star(leaves):
 @example((build_graph(4, [(0, 1), (1, 2), (2, 3)]), 4, (1, 3, 0, 2), "y-first"))
 @example((star(3), 4, (0, 1, 2, 3), "x-first"))
 def test_drawn_graphs_match_independent_minimizer(run):
-    g, k, order, inner = run
+    g, k, order, probes = run
     inst = encode_instance(g, k)
-    res = run_gismo(inst, GismoConfig(order=order, inner_order=inner))
-    assert res.sensor_set == frozenset(table_gismo(inst, order, inner))
+    res = run_gismo(inst, GismoConfig(order=order))
+    assert res.sensor_set == frozenset(table_gismo(inst, order, probes))
     assert res.budget_exhaustions == 0
     assert is_gics(g, res.sensor_set, k)
     assert verify_result(inst, res).minimal
@@ -192,11 +199,9 @@ def assert_witnesses_certify(g, k, res):
 def test_kept_sensors_carry_graph_checked_witnesses(path):
     g = parse_graph_file(str(path))
     for k in range(1, min(3, g.n) + 1):
-        inst = encode_instance(g, k)
-        for inner in INNER_ORDERS:
-            res = run_gismo(inst, GismoConfig(inner_order=inner))
-            assert res.budget_exhaustions == 0
-            assert_witnesses_certify(g, k, res)
+        res = run_gismo(encode_instance(g, k), GismoConfig())
+        assert res.budget_exhaustions == 0
+        assert_witnesses_certify(g, k, res)
 
 
 # ---- orders and config ----------------------------------------------------------
@@ -223,8 +228,6 @@ def test_config_validation():
         GismoConfig(budget=0)
     with pytest.raises(ValueError):
         GismoConfig(order="bogus")
-    with pytest.raises(ValueError):
-        GismoConfig(inner_order="z-first")
 
 
 # ---- verify_result ---------------------------------------------------------------
@@ -310,10 +313,8 @@ def test_minimum_cardinality_lower_bounds_every_config():
         inst = random_instance(rng, n_range=(2, 6), k_max=2)
         best_size = min_gics_exhaustive(inst.graph, inst.k)[1]
         for order in ("input", "deg-desc", "deg-asc", "random"):
-            for inner in ("y-first", "x-first"):
-                res = run_gismo(inst, GismoConfig(order=order, seed=3,
-                                                  inner_order=inner))
-                assert best_size <= len(res.sensor_set)
+            res = run_gismo(inst, GismoConfig(order=order, seed=3))
+            assert best_size <= len(res.sensor_set)
 
 
 def without_conflicts(res):

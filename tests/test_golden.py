@@ -7,22 +7,28 @@ listed in string order.  At k <= 2 the failure-set scan answers every
 query, with no conflicts; the k=3 rows also run the engine on the scan's
 misses.
 
-The engine's conflict count on each k=3 row is pinned too, per inner
-order: it changes only when the engine's search changes, so a change that
-alters the search updates these pins and says so in CHANGES.md.
+run_gismo probes each group's y variable first, then its x variable.  The
+probe order changes which queries run, never which groups are kept, so an
+x-first replica of the loop must give the same sets.  The engine's conflict
+count on each k=3 row is pinned too, per probe order: it changes only when
+the engine's search changes, so a change that alters the search updates
+these pins and says so in CHANGES.md.
 """
 
 from pathlib import Path
 
 import pytest
 
+from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
-from gicsat.gismo import INNER_ORDERS, GismoConfig, run_gismo
+from gicsat.gismo import GismoConfig, run_gismo
 from gicsat.graph import parse_graph_file
+from gicsat.satcore import SolveStatus
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PROBE_ORDERS = ("y-first", "x-first")
 
-# (graph file, k) -> sensor labels under order="input"; both inner orders
+# (graph file, k) -> sensor labels under order="input"; both probe orders
 # give the same set on every graph here.
 GOLDEN = {
     ("fig1.edges", 1): "c d",
@@ -52,7 +58,7 @@ GOLDEN = {
     ("path20.edges", 3): "0 1 10 11 12 13 14 15 16 17 18 19 2 3 4 5 6 7 8 9",
 }
 
-# (graph file, inner order) -> total_conflicts of the k=3 row
+# (graph file, probe order) -> total_conflicts of the k=3 row
 K3_CONFLICTS = {
     ("fig1.edges", "y-first"): 2,
     ("gnp30.edges", "y-first"): 571,
@@ -75,16 +81,44 @@ def test_golden_covers_every_data_graph():
         n = parse_graph_file(str(DATA / name)).n
         assert {k for gname, k in GOLDEN if gname == name} == \
             {1, 2, 3} & set(range(1, n + 1))
-    assert {(name, inner) for name, k in GOLDEN if k == 3
-            for inner in INNER_ORDERS} == set(K3_CONFLICTS)
+    assert {(name, probes) for name, k in GOLDEN if k == 3
+            for probes in PROBE_ORDERS} == set(K3_CONFLICTS)
 
 
-@pytest.mark.parametrize("inner", INNER_ORDERS)
+def x_first_run(inst):
+    """run_gismo's loop over the input order with x_v probed before y_v.
+
+    Returns the sensor set and the engine conflicts; every answer must be
+    exact, as on every golden row.
+    """
+    ctx = DefinabilityContext(inst)
+    support = set(inst.z_vars)
+    sensors, conflicts = set(), 0
+    for v in range(inst.graph.n):
+        group = inst.group_of(v)  # (x_v, y_v)
+        for z in group:
+            answer = ctx.query(support.difference(group), z,
+                               GismoConfig().budget)
+            assert answer.status is not SolveStatus.BUDGET_EXHAUSTED
+            conflicts += answer.conflicts_used
+            if answer.status is SolveStatus.SAT:
+                sensors.add(v)
+                break
+        else:
+            support.difference_update(group)
+    return sensors, conflicts
+
+
+@pytest.mark.parametrize("probes", PROBE_ORDERS)
 @pytest.mark.parametrize("name,k", sorted(GOLDEN))
-def test_golden_sensor_set(name, k, inner):
+def test_golden_sensor_set(name, k, probes):
     g = parse_graph_file(str(DATA / name))
-    res = run_gismo(encode_instance(g, k),
-                    GismoConfig(order="input", inner_order=inner))
-    assert res.budget_exhaustions == 0
-    assert " ".join(sorted(g.labels[v] for v in res.sensor_set)) == GOLDEN[name, k]
-    assert res.total_conflicts == (K3_CONFLICTS[name, inner] if k == 3 else 0)
+    inst = encode_instance(g, k)
+    if probes == "y-first":
+        res = run_gismo(inst, GismoConfig(order="input"))
+        assert res.budget_exhaustions == 0
+        sensors, conflicts = res.sensor_set, res.total_conflicts
+    else:
+        sensors, conflicts = x_first_run(inst)
+    assert " ".join(sorted(g.labels[v] for v in sensors)) == GOLDEN[name, k]
+    assert conflicts == (K3_CONFLICTS[name, probes] if k == 3 else 0)

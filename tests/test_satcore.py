@@ -149,21 +149,6 @@ def test_solve_incremental_reuse():
                 assert check_model(f, got.model)
 
 
-def test_solve_incremental_added_clauses():
-    f = CnfFormula()
-    x1, x2, x3 = f.new_vars(3)
-    f.add_clause([x1, x2, x3])
-    eng = engine_factory()(f)
-    assert eng.solve().status is SolveStatus.SAT
-    eng.add_clause([-x1])
-    eng.add_clause([-x2])
-    out = eng.solve()
-    assert out.status is SolveStatus.SAT
-    assert out.model[x3]
-    eng.add_clause([-x3])
-    assert eng.solve().status is SolveStatus.UNSAT
-
-
 def test_budget_exhaustion_and_unsat_monotone():
     f = pigeonhole(5, 4)
     full = CdclSolver(f).solve()
@@ -254,17 +239,16 @@ def clauses(n, min_size=1):
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(st.integers(1, 6), st.data())
 def test_reused_solver_matches_brute_force(n, data):
-    """One engine over several budgeted calls, with clauses added between."""
+    """One engine over several budgeted calls."""
     f = CnfFormula(n)
     # 3n to 5n clauses of 3-4 literals, near the satisfiability threshold,
-    # so that conflicts also arise above the root
+    # so that conflicts also arise above the root, and a few short ones,
+    # which may fix literals at the root
     f.add_clauses(data.draw(st.lists(clauses(n, 3), min_size=3 * n,
                                      max_size=5 * n)))
+    f.add_clauses(data.draw(st.lists(clauses(n), max_size=6)))
     eng = CdclSolver(f)
     for _ in range(data.draw(st.integers(1, 6))):
-        for clause in data.draw(st.lists(clauses(n), max_size=2)):
-            f.add_clause(clause)
-            eng.add_clause(clause)
         assumptions = data.draw(st.lists(literals(n), max_size=4))
         # now and then a contradictory pair, a literal fixed at the root
         # or the negation of one
