@@ -363,8 +363,7 @@ def cmd_bench(args) -> int:
     base = os.path.dirname(os.path.abspath(args.manifest))
     try:
         with open(args.manifest, "r", encoding="utf-8") as fp:
-            paths = [line.strip() for line in fp
-                     if line.strip() and not line.startswith("#")]
+            paths = [p for p in map(str.strip, fp) if p and not p.startswith("#")]
     except OSError as exc:
         raise GraphParseError(f"cannot read manifest: {exc}")
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]

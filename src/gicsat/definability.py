@@ -1,11 +1,13 @@
 """Single-variable definability queries against two linked formula copies.
 
-The base formula conjoins the instance formula F with a renamed copy
-(every variable, auxiliaries included, shifted by the original variable
-count) and, per projected variable z, an indicator e_z whose assumption
-forces z and its copy equal:
+The base formula has 2t + 2n variables.  It conjoins the instance formula
+F, whose t variables start with the projected ones z = 1..2n (x_v = v + 1,
+y_v = n + v + 1), with a copy F' that renames each variable a, auxiliaries
+included, to a' = a + t, and with an indicator e_z = 2t + z per projected
+variable z, whose assumption forces z and z' equal.  The context computes
+these indices; it keeps no map of them:
 
-    base = F  and  F[renamed]  and  AND_z (e_z -> (z <-> z')).
+    base = F  and  F'  and  AND_z (e_z -> (z <-> z')).
 
 Asking whether a candidate set C defines a target variable z is then one
 incremental call: assume {e_c : c in C} plus z and -z'.  UNSAT means every
@@ -21,18 +23,20 @@ failure sets S with |S| <= k, each as (x = S, y = N[S]), so a SAT answer
 is two failure sets (F1, F2) that agree on C, z true for F1: the witness
 `query` returns.  Before the engine is called, each query scans a pool of
 every failure set of size at most min(k, 2), built on the first query;
-each entry is its projected model as a bitmask over z_order.  Keyed by
-their bits on C, the first key seen with both values of z's bit is a
-witness (conflicts 0).  When k <= 2 the pool holds every failure set, so
-a scan with no witness proves definability: UNSAT without an engine call,
-and the conflict budget never applies.  For k > 2 a miss falls through to
-the engine, built on the first miss, whose two copies' x bits give the
-witness of a SAT model.
+each entry is its projected model as a bitmask with bit z for variable
+z.  Keyed by their bits on C, the first key seen with both values of z's
+bit is a witness (conflicts 0).  When k <= 2 the pool holds every failure
+set, so a scan with no witness proves definability: UNSAT without an
+engine call, and the conflict budget never applies.  For k > 2 a miss
+falls through to the engine, built on the first miss, whose two copies'
+x bits give the witness of a SAT model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift
 from typing import Iterable
 
 from .encoder import EncodedInstance
@@ -65,31 +69,21 @@ class DefinabilityContext:
 
     def __init__(self, inst: EncodedInstance, engine: str = "bundled"):
         f = inst.formula
-        shift = f.num_vars
-        z_order = inst.z_vars  # x_1..x_n then y_1..y_n
-
-        base = CnfFormula()
-        base.new_vars(2 * shift + len(z_order))
+        shift, nz = f.num_vars, 2 * inst.graph.n
+        base = CnfFormula(2 * shift + nz)
         for clause in f.clauses:
             base.add_clause(clause)
         for clause in f.clauses:
             base.add_clause([l + shift if l > 0 else l - shift for l in clause])
-        indicators: dict[int, int] = {}
-        for i, z in enumerate(z_order):
-            e = 2 * shift + 1 + i
-            indicators[z] = e
-            zh = z + shift
-            base.add_clause([-e, -z, zh])
-            base.add_clause([-e, z, -zh])
+        for z in range(1, nz + 1):
+            e = 2 * shift + z
+            base.add_clause([-e, -z, z + shift])
+            base.add_clause([-e, z, -z - shift])
 
         self.base = base
-        self.z_order = z_order
-        self.hat = {z: z + shift for z in z_order}
-        self.indicators = indicators
         self._make_engine = engine_factory(engine)
         self._engine = None
         self._inst = inst
-        self._bit = {z: 1 << i for i, z in enumerate(z_order)}
         self._pool: list[int] | None = None
 
     def query(self, defining: Iterable[int], target: int,
@@ -102,20 +96,21 @@ class DefinabilityContext:
         conflict budget.
         """
         defining = set(defining)
-        if target not in self.indicators:
+        nz = 2 * self._inst.graph.n
+        if not 1 <= target <= nz:
             raise ValueError(f"target variable {target} is not a projected variable")
         if target in defining:
             raise ValueError("target variable must not be in the defining set")
-        bad = defining - self.indicators.keys()
-        if bad:
-            raise ValueError(f"defining variables {sorted(bad)} are not projected")
+        if defining and (min(defining) < 1 or max(defining) > nz):
+            bad = sorted(z for z in defining if not 1 <= z <= nz)
+            raise ValueError(f"defining variables {bad} are not projected")
         if budget is not None and budget < 1:  # checked even if no engine call
             raise ValueError("budget must be >= 1")
         # witness-first: two pool entries equal on `defining`, unequal on target
         if self._pool is None:
             self._pool = self._failure_set_pool()
-        dmask = sum(map(self._bit.__getitem__, defining))
-        tbit = self._bit[target]
+        dmask = sum(map(lshift, repeat(1), defining))
+        tbit = 1 << target
         seen: dict[int, int] = {}
         for code in self._pool:
             first = seen.setdefault(code & dmask, code)
@@ -124,12 +119,13 @@ class DefinabilityContext:
                     first, code = code, first
                 xmask = (1 << self._inst.graph.n) - 1
                 return QueryAnswer(target, SolveStatus.SAT,
-                                   (mask_to_set(first & xmask),
-                                    mask_to_set(code & xmask)), 0)
+                                   (mask_to_set((first >> 1) & xmask),
+                                    mask_to_set((code >> 1) & xmask)), 0)
         if self._inst.k <= 2:  # the pool held every failure set
             return QueryAnswer(target, SolveStatus.UNSAT, None, 0)
-        assumptions = [self.indicators[z] for z in self.z_order if z in defining]
-        assumptions += [target, -self.hat[target]]
+        shift = self._inst.formula.num_vars
+        assumptions = [2 * shift + z for z in sorted(defining)]
+        assumptions += [target, -target - shift]
         if self._engine is None:
             self._engine = self._make_engine(self.base)
         out = self._engine.solve(assumptions, budget)
@@ -137,16 +133,13 @@ class DefinabilityContext:
         if out.status is SolveStatus.SAT:  # copy 1 holds the target true
             m, x = out.model, self._inst.x
             witness = (frozenset(v for v, z in enumerate(x) if m[z]),
-                       frozenset(v for v, z in enumerate(x) if m[self.hat[z]]))
+                       frozenset(v for v, z in enumerate(x) if m[z + shift]))
         return QueryAnswer(target, out.status, witness, out.conflicts_used)
 
     def _failure_set_pool(self) -> list[int]:
-        """Every failure set S, |S| <= min(k, 2), as its x/y bitmask.
-
-        Bit i stands for z_order[i]: x_v is bit v and y_v is bit n + v.
-        """
+        """Each failure set S, |S| <= min(k, 2), as a mask whose bit z is z's value."""
         g = self._inst.graph
-        singles = [1 << v | m << g.n for v, m in enumerate(closed_masks(g))]
+        singles = [2 << v | m << (g.n + 1) for v, m in enumerate(closed_masks(g))]
         pool = [0] + singles
         if self._inst.k >= 2:
             pool += [a | b for i, a in enumerate(singles) for b in singles[i + 1:]]

@@ -26,13 +26,12 @@ class Graph:
     """Immutable simple graph: dense node indices, sorted adjacency lists."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v: int) -> int:
         self._check_node(v)
@@ -79,8 +78,7 @@ def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]],
         adj[u].append(v)
         adj[v].append(u)
     adjacency = tuple(tuple(sorted(neigh)) for neigh in adj)
-    return Graph(n=n, edges=frozenset(edges), adjacency=adjacency,
-                 labels=tuple(labels))
+    return Graph(n=n, adjacency=adjacency, labels=tuple(labels))
 
 
 def parse_graph(stream: IO[str], fmt: str = "edgelist") -> Graph:

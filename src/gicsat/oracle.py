@@ -21,6 +21,8 @@ from .encoder import EncodedInstance
 from .graph import Graph, closed_neighborhood_set
 from .satcore import enumerate_models_projected
 
+EXHAUSTIVE_MAX_NODES = 16  # min_gics_exhaustive tries up to 2^16 sensor sets
+
 
 class EnumerationBudgetError(RuntimeError):
     """The requested exhaustive check is beyond the configured desk budget."""
@@ -107,16 +109,15 @@ def is_gics(g: Graph, sensors: Iterable[int], k: int,
     return find_signature_collision(g, sensors, k, max_subsets) is None
 
 
-def min_gics_exhaustive(g: Graph, k: int,
-                        max_nodes: int = 16) -> tuple[frozenset[int], int]:
+def min_gics_exhaustive(g: Graph, k: int) -> tuple[frozenset[int], int]:
     """Smallest sensor set that identifies all failure sets of size <= k.
 
     Increasing-size subset search; the lexicographically first set of the
     winning size is returned.
     """
-    if g.n > max_nodes:
+    if g.n > EXHAUSTIVE_MAX_NODES:
         raise EnumerationBudgetError(
-            f"exhaustive search limited to {max_nodes} nodes, graph has {g.n}")
+            f"exhaustive search limited to {EXHAUSTIVE_MAX_NODES} nodes, graph has {g.n}")
     for size in range(g.n + 1):
         for combo in combinations(range(g.n), size):
             if is_gics(g, combo, k):

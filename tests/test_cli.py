@@ -287,7 +287,7 @@ def test_par2_memout_counts_as_double_limit():
 
 def test_bench_end_to_end(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text(f"# two tiny graphs\n{FIG1}\n{K2}\n")
+    manifest.write_text(f"# two tiny graphs\n  # indented comment\n{FIG1}\n{K2}\n")
     report_path = tmp_path / "report.json"
     rc = run_cli(["bench", str(manifest), "--k", "1,2", "--time-limit", "120",
                   "--output", str(report_path)])

@@ -40,13 +40,26 @@ def random_instance(rng, max_n=6, max_k=2):
 
 # ---- base construction -------------------------------------------------------
 
+def documented_layout(inst):
+    """The base layout the definability module documents, as two maps.
+
+    With t = inst.formula.num_vars, projected variable z has its copy at
+    z + t and its indicator at 2t + z.
+    """
+    t = inst.formula.num_vars
+    return ({z: z + t for z in inst.z_vars},
+            {z: 2 * t + z for z in inst.z_vars})
+
+
 def test_base_variable_count_fig1():
     inst = encode_instance(fig1(), 1)
     ctx = DefinabilityContext(inst)
     t = inst.formula.num_vars  # 10 projected + 4 counter auxiliaries
     assert t == 14
-    assert ctx.base.num_vars == 2 * t + len(ctx.z_order)
-    assert len(ctx.z_order) == 10
+    assert inst.z_vars == tuple(range(1, 11))
+    assert ctx.base.num_vars == 2 * t + len(inst.z_vars)
+    _, ind = documented_layout(inst)
+    assert max(ind.values()) == ctx.base.num_vars
     # the counter registers are renamed too, into the copy's range
     hat_aux = {a + t for a in inst.aux}
     assert len(hat_aux) == len(inst.aux) == 4
@@ -56,31 +69,41 @@ def test_base_variable_count_fig1():
 def test_base_ranges_disjoint():
     inst = encode_instance(fig1(), 2)
     ctx = DefinabilityContext(inst)
-    originals = set(range(1, inst.formula.num_vars + 1))
-    hats = set(ctx.hat.values()) | {a + inst.formula.num_vars for a in inst.aux}
-    inds = set(ctx.indicators.values())
+    t = inst.formula.num_vars
+    hat, ind = documented_layout(inst)
+    originals = set(range(1, t + 1))
+    hats = set(hat.values()) | {a + t for a in inst.aux}
+    inds = set(ind.values())
     assert not originals & hats
     assert not originals & inds
     assert not hats & inds
+    assert originals | hats | inds == set(range(1, ctx.base.num_vars + 1))
+    # the base is F, its renamed copy and the indicator clauses, in that order
+    f = inst.formula.clauses
+    want = f + [[l + t if l > 0 else l - t for l in c] for c in f]
+    for z in inst.z_vars:
+        want += [[-ind[z], -z, hat[z]], [-ind[z], z, -hat[z]]]
+    assert ctx.base.clauses == want
 
 
 def test_indicators_off_decouple_copies():
     # single isolated node: with no indicator assumed the copies move freely
     inst = encode_instance(build_graph(1, []), 1)
     ctx = DefinabilityContext(inst)
+    hat, _ = documented_layout(inst)
     x = inst.x[0]
-    out = CdclSolver(ctx.base).solve(assumptions=[x, -ctx.hat[x]])
+    out = CdclSolver(ctx.base).solve(assumptions=[x, -hat[x]])
     assert out.status is SolveStatus.SAT
 
 
 def test_indicators_on_couple_copies():
     inst = encode_instance(fig1(), 1)
     ctx = DefinabilityContext(inst)
-    assumptions = [ctx.indicators[z] for z in ctx.z_order]
-    out = CdclSolver(ctx.base).solve(assumptions=assumptions)
+    hat, ind = documented_layout(inst)
+    out = CdclSolver(ctx.base).solve(assumptions=[ind[z] for z in inst.z_vars])
     assert out.status is SolveStatus.SAT
-    for z in ctx.z_order:
-        assert out.model[z] == out.model[ctx.hat[z]]
+    for z in inst.z_vars:
+        assert out.model[z] == out.model[hat[z]]
 
 
 # ---- worked-example queries ---------------------------------------------------
@@ -301,14 +324,15 @@ def test_query_matches_engine_on_base(query):
     inst, defining = query
     g = inst.graph
     ctx = DefinabilityContext(inst)
+    hat, ind = documented_layout(inst)
     side = {z: (i, v) for i, zs in enumerate((inst.x, inst.y))
             for v, z in enumerate(zs)}  # z -> (0 for x / 1 for y, node)
     for target in inst.z_vars:
         if target in defining:
             continue
         got = ctx.query(defining, target)
-        assumed = [ctx.indicators[c] for c in defining]
-        want = CdclSolver(ctx.base).solve(assumed + [target, -ctx.hat[target]])
+        assumed = [ind[c] for c in defining]
+        want = CdclSolver(ctx.base).solve(assumed + [target, -hat[target]])
         assert got.status is want.status
         assert (got.witness is not None) == (got.status is SolveStatus.SAT)
         if got.status is SolveStatus.SAT:

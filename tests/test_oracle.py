@@ -132,7 +132,7 @@ def test_min_gics_removal_breaks_identification():
 def test_budget_errors():
     g = build_graph(20, [(i, i + 1) for i in range(19)])
     with pytest.raises(EnumerationBudgetError):
-        min_gics_exhaustive(g, 1, max_nodes=16)
+        min_gics_exhaustive(g, 1)
     with pytest.raises(EnumerationBudgetError):
         is_gics(g, range(20), 3, max_subsets=100)
 

@@ -47,12 +47,17 @@ def random_formula(rng, max_vars=8, max_clauses=30):
     return f
 
 
-def pigeonhole(pigeons, holes):
-    """Unsatisfiable when pigeons > holes; needs real conflict analysis."""
+def pigeonhole(pigeons, holes, guarded=False):
+    """Unsatisfiable when pigeons > holes; needs real conflict analysis.
+
+    guarded adds a last variable s to every pigeon clause as -s, so the
+    formula is satisfiable and unsatisfiable only under the assumption s.
+    """
     f = CnfFormula()
     p = [[f.new_var() for _ in range(holes)] for _ in range(pigeons)]
+    guard = [-f.new_var()] if guarded else []
     for i in range(pigeons):
-        f.add_clause(p[i])
+        f.add_clause(guard + p[i])
     for j in range(holes):
         for i1 in range(pigeons):
             for i2 in range(i1 + 1, pigeons):
@@ -190,6 +195,21 @@ def test_counters_repeat_and_are_pinned():
         runs.append((out.status, out.conflicts_used, eng.decisions,
                      eng.propagations))
     assert runs[0] == runs[1] == (SolveStatus.UNSAT, 28, 38, 297)
+
+
+def test_reduce_db_deletes_learned_clauses_and_stays_sound():
+    # the refutation under s learns past the 2,000-clause floor of
+    # _reduce_db; the same engine must then still answer both ways
+    f = pigeonhole(8, 7, guarded=True)
+    s = f.num_vars
+    eng = CdclSolver(f)
+    assert eng.solve([s]).status is SolveStatus.UNSAT
+    assert None in eng.clauses  # learned clauses were deleted
+    assert all(eng.clauses[ci] is not None for ci in eng.learned_ids)
+    out = eng.solve()
+    assert out.status is SolveStatus.SAT
+    assert check_model(f, out.model)
+    assert eng.solve([s]).status is SolveStatus.UNSAT
 
 
 def assert_one_live_heap_entry(eng):
