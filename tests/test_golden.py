@@ -4,13 +4,13 @@ With no budget exhaustion the sensor set depends only on the graph, k and
 the processing order, never on how the definability queries are run, so a
 refactor of the query path must reproduce these sets exactly.  Labels are
 listed in string order.  At k <= 2 the failure-set scan answers every
-query, with no conflicts; the k=3 rows also run the engine on the scan's
-misses.
+query, with no conflicts; the k=3 and k=4 rows also run the engine on the
+scan's misses.
 
 run_gismo probes each group's y variable first, then its x variable.  The
 probe order changes which queries run, never which groups are kept, so an
 x-first replica of the loop must give the same sets.  The engine's conflict
-count on each k=3 row is pinned too, per probe order: it changes only when
+count on each k >= 3 row is pinned too, per probe order: it changes only when
 the engine's search changes, so a change that alters the search updates
 these pins and says so in CHANGES.md.
 """
@@ -56,20 +56,40 @@ GOLDEN = {
     ("grid5x5.edges", 3): "0 1 10 11 12 13 14 15 16 17 18 19 2 20 21 22 23 "
                           "24 3 4 5 6 7 8 9",
     ("path20.edges", 3): "0 1 10 11 12 13 14 15 16 17 18 19 2 3 4 5 6 7 8 9",
+    ("fig1.edges", 4): "a b c d e",
+    ("gnp30.edges", 4): "n0 n1 n10 n11 n12 n13 n14 n15 n17 n18 n19 n2 n20 "
+                        "n21 n22 n23 n24 n26 n27 n28 n29 n3 n4 n5 n7 n8 n9",
+    ("gnp50.edges", 4): "n0 n1 n10 n11 n12 n13 n14 n15 n17 n18 n19 n2 n20 "
+                        "n21 n22 n23 n24 n25 n27 n28 n29 n3 n32 n33 n34 n35 "
+                        "n37 n38 n40 n41 n42 n43 n44 n45 n46 n47 n48 n5 n6 n7 "
+                        "n8 n9",
+    ("grid5x5.edges", 4): "0 1 10 11 12 13 14 15 16 17 18 19 2 20 21 22 23 "
+                          "24 3 4 5 6 7 8 9",
+    ("path20.edges", 4): "0 1 10 11 12 13 14 15 16 17 18 19 2 3 4 5 6 7 8 9",
 }
 
-# (graph file, probe order) -> total_conflicts of the k=3 row
-K3_CONFLICTS = {
-    ("fig1.edges", "y-first"): 2,
-    ("gnp30.edges", "y-first"): 571,
-    ("gnp50.edges", "y-first"): 940,
-    ("grid5x5.edges", "y-first"): 16,
-    ("path20.edges", "y-first"): 2,
-    ("fig1.edges", "x-first"): 0,
-    ("gnp30.edges", "x-first"): 320,
-    ("gnp50.edges", "x-first"): 704,
-    ("grid5x5.edges", "x-first"): 23,
-    ("path20.edges", "x-first"): 8,
+# (graph file, k, probe order) -> total_conflicts of a k >= 3 row
+ENGINE_CONFLICTS = {
+    ("fig1.edges", 3, "y-first"): 2,
+    ("gnp30.edges", 3, "y-first"): 571,
+    ("gnp50.edges", 3, "y-first"): 940,
+    ("grid5x5.edges", 3, "y-first"): 16,
+    ("path20.edges", 3, "y-first"): 2,
+    ("fig1.edges", 3, "x-first"): 0,
+    ("gnp30.edges", 3, "x-first"): 320,
+    ("gnp50.edges", 3, "x-first"): 704,
+    ("grid5x5.edges", 3, "x-first"): 23,
+    ("path20.edges", 3, "x-first"): 8,
+    ("fig1.edges", 4, "y-first"): 2,
+    ("gnp30.edges", 4, "y-first"): 426,
+    ("gnp50.edges", 4, "y-first"): 867,
+    ("grid5x5.edges", 4, "y-first"): 7,
+    ("path20.edges", 4, "y-first"): 2,
+    ("fig1.edges", 4, "x-first"): 0,
+    ("gnp30.edges", 4, "x-first"): 250,
+    ("gnp50.edges", 4, "x-first"): 587,
+    ("grid5x5.edges", 4, "x-first"): 20,
+    ("path20.edges", 4, "x-first"): 8,
 }
 
 
@@ -80,9 +100,9 @@ def test_golden_covers_every_data_graph():
     for name in names:
         n = parse_graph_file(str(DATA / name)).n
         assert {k for gname, k in GOLDEN if gname == name} == \
-            {1, 2, 3} & set(range(1, n + 1))
-    assert {(name, probes) for name, k in GOLDEN if k == 3
-            for probes in PROBE_ORDERS} == set(K3_CONFLICTS)
+            {1, 2, 3, 4} & set(range(1, n + 1))
+    assert {(name, k, probes) for name, k in GOLDEN if k >= 3
+            for probes in PROBE_ORDERS} == set(ENGINE_CONFLICTS)
 
 
 def x_first_run(inst):
@@ -121,4 +141,4 @@ def test_golden_sensor_set(name, k, probes):
     else:
         sensors, conflicts = x_first_run(inst)
     assert " ".join(sorted(g.labels[v] for v in sensors)) == GOLDEN[name, k]
-    assert conflicts == (K3_CONFLICTS[name, probes] if k == 3 else 0)
+    assert conflicts == ENGINE_CONFLICTS.get((name, k, probes), 0)
