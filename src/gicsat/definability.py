@@ -44,19 +44,25 @@ from .oracle import closed_masks, mask_to_set
 from .satcore import CnfFormula, SolveStatus, engine_factory
 
 Witness = tuple[frozenset[int], frozenset[int]]
+LAYERS = ("scan", "engine")  # the witness sources, in the order they run
 
 
 @dataclass(frozen=True)
 class QueryAnswer:
-    """One definability answer about target var; witness (F1, F2) iff SAT."""
+    """One definability answer about target var; witness (F1, F2) iff SAT.
+
+    layer names the source that gave the answer, one of LAYERS.
+    """
 
     var: int
     status: SolveStatus
     witness: Witness | None
     conflicts_used: int
+    layer: str
 
     def __post_init__(self):
         assert (self.witness is not None) == (self.status is SolveStatus.SAT)
+        assert self.layer in LAYERS
 
 
 class DefinabilityContext:
@@ -106,7 +112,15 @@ class DefinabilityContext:
             raise ValueError(f"defining variables {bad} are not projected")
         if budget is not None and budget < 1:  # checked even if no engine call
             raise ValueError("budget must be >= 1")
-        # witness-first: two pool entries equal on `defining`, unequal on target
+        return (self._scan(defining, target)
+                or self._solve(defining, target, budget))
+
+    def _scan(self, defining: set[int], target: int) -> QueryAnswer | None:
+        """Two pool entries equal on `defining`, unequal on target.
+
+        A miss is UNSAT when the pool holds every failure set (k <= 2) and
+        undecided otherwise.
+        """
         if self._pool is None:
             self._pool = self._failure_set_pool()
         dmask = sum(map(lshift, repeat(1), defining))
@@ -120,9 +134,14 @@ class DefinabilityContext:
                 xmask = (1 << self._inst.graph.n) - 1
                 return QueryAnswer(target, SolveStatus.SAT,
                                    (mask_to_set((first >> 1) & xmask),
-                                    mask_to_set((code >> 1) & xmask)), 0)
-        if self._inst.k <= 2:  # the pool held every failure set
-            return QueryAnswer(target, SolveStatus.UNSAT, None, 0)
+                                    mask_to_set((code >> 1) & xmask)), 0, "scan")
+        if self._inst.k <= 2:
+            return QueryAnswer(target, SolveStatus.UNSAT, None, 0, "scan")
+        return None
+
+    def _solve(self, defining: set[int], target: int,
+               budget: int | None) -> QueryAnswer:
+        """One engine call on the base, built on the first call."""
         shift = self._inst.formula.num_vars
         assumptions = [2 * shift + z for z in sorted(defining)]
         assumptions += [target, -target - shift]
@@ -134,7 +153,8 @@ class DefinabilityContext:
             m, x = out.model, self._inst.x
             witness = (frozenset(v for v, z in enumerate(x) if m[z]),
                        frozenset(v for v, z in enumerate(x) if m[z + shift]))
-        return QueryAnswer(target, out.status, witness, out.conflicts_used)
+        return QueryAnswer(target, out.status, witness, out.conflicts_used,
+                           "engine")
 
     def _failure_set_pool(self) -> list[int]:
         """Each failure set S, |S| <= min(k, 2), as a mask whose bit z is z's value."""
