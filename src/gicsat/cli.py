@@ -15,8 +15,10 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 from . import encoder, gismo, oracle
+from .definability import LAYERS
 from .graph import Graph, GraphParseError, parse_graph_file
 from .satcore import write_dimacs
 
@@ -221,6 +223,7 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
     inst = encoder.encode_instance(g, k)
     result = gismo.run_gismo(inst, cfg)
     elapsed = time.monotonic() - start
+    layers = Counter(a.layer for e in result.per_group_log for a in e.tested)
     record = {
         "graph": os.path.basename(graph_path),
         "n": g.n,
@@ -235,6 +238,7 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
         "sensor_count": len(result.sensor_set),
         "sensors": [g.labels[v] for v in sorted(result.sensor_set)],
         "queries": result.total_queries,
+        "queries_by_layer": {layer: layers[layer] for layer in LAYERS},
         "conflicts": result.total_conflicts,
         "budget_exhaustions": result.budget_exhaustions,
     }

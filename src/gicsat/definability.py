@@ -44,7 +44,7 @@ from .oracle import closed_masks, mask_to_set
 from .satcore import CnfFormula, SolveStatus, engine_factory
 
 Witness = tuple[frozenset[int], frozenset[int]]
-LAYERS = ("scan", "engine")  # the witness sources, in the order they run
+LAYERS = ("forced", "scan", "engine")  # the witness sources, in the order they run
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,7 @@ class DefinabilityContext:
         self._engine = None
         self._inst = inst
         self._pool: list[int] | None = None
+        self._closed: list[int] | None = None
 
     def query(self, defining: Iterable[int], target: int,
               budget: int | None = None) -> QueryAnswer:
@@ -112,8 +113,55 @@ class DefinabilityContext:
             raise ValueError(f"defining variables {bad} are not projected")
         if budget is not None and budget < 1:  # checked even if no engine call
             raise ValueError("budget must be >= 1")
-        return (self._scan(defining, target)
+        return (self._forced(defining, target)
+                or self._scan(defining, target)
                 or self._solve(defining, target, budget))
+
+    def _forced(self, defining: set[int], target: int) -> QueryAnswer | None:
+        """Target x_v of a graph-forced node v, at k > 2.
+
+        A set A with v not in A, |A| <= k - 1 and N(v) within N[A] makes
+        (A + v, A) differ on x_v, on y_v iff v is outside N[A], and nowhere
+        else.  It is a witness unless y_v is in `defining` and v outside N[A].
+        """
+        v = target - 1  # x_v = v + 1
+        if self._inst.k <= 2 or v >= self._inst.graph.n:
+            return None
+        a = self._dominator(v)
+        if a is None or (self._inst.y[v] in defining
+                         and not a & self._closed[v]):
+            return None
+        return QueryAnswer(target, SolveStatus.SAT,
+                           (mask_to_set(a | 1 << v), mask_to_set(a)), 0, "forced")
+
+    def _dominator(self, v: int) -> int | None:
+        """The first A found (a node mask) with v not in A, |A| <= k - 1 and
+        N(v) within N[A], or None if there is none.
+
+        The search branches on the lowest neighbour u of v that A leaves
+        uncovered, over w in N[u] - v, so it visits O(deg^(k-1)) sets.
+        """
+        g = self._inst.graph
+        if self._closed is None:
+            self._closed = closed_masks(g)
+        closed = self._closed
+        nv = closed[v] & ~(1 << v)
+
+        def extend(a: int, covered: int, depth: int) -> int | None:
+            uncovered = nv & ~covered
+            if not uncovered:
+                return a
+            if depth == 0:
+                return None
+            u = (uncovered & -uncovered).bit_length() - 1
+            for w in sorted((u, *g.adjacency[u])):
+                if w != v:
+                    found = extend(a | 1 << w, covered | closed[w], depth - 1)
+                    if found is not None:
+                        return found
+            return None
+
+        return extend(0, 0, self._inst.k - 1)
 
     def _scan(self, defining: set[int], target: int) -> QueryAnswer | None:
         """Two pool entries equal on `defining`, unequal on target.

@@ -101,7 +101,7 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
         x_v, y_v = inst.group_of(v)
         defining = support.difference((x_v, y_v))
         tested: list[QueryAnswer] = []
-        for z in (y_v, x_v):
+        for z in (x_v, y_v) if inst.k > 2 else (y_v, x_v):
             tested.append(ctx.query(defining, z, cfg.budget))
             if tested[-1].status is not SolveStatus.UNSAT:
                 break  # not provably defined: the whole group stays

@@ -16,6 +16,7 @@ DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 FIG1 = os.path.join(DATA, "fig1.edges")
 SINGLE = os.path.join(DATA, "single.edges")
 K2 = os.path.join(DATA, "k2.edges")
+GNP30 = os.path.join(DATA, "gnp30.edges")
 
 
 def run_cli(args):
@@ -225,13 +226,24 @@ def test_solve_time_limit_off_the_main_thread_is_usage_error(capsys):
 
 
 def test_solve_deterministic_output(tmp_path, capsys):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    for path in (a, b):
-        assert run_cli(["solve", FIG1, "--k", "2", "--order", "random",
-                        "--seed", "5", "--output", str(path)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    # at k=4 the forced rule, the scan and the engine all answer queries
+    for graph, k in ((FIG1, 2), (GNP30, 4)):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        for path in (a, b):
+            assert run_cli(["solve", graph, "--k", str(k), "--order", "random",
+                            "--seed", "5", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        record = json.loads(a.read_text())
+        layers = record["queries_by_layer"]
+        assert list(layers) == ["engine", "forced", "scan"]  # keys sorted
+        assert sum(layers.values()) == record["queries"]
+        if k > 2:
+            assert layers["forced"] > 0 and layers["engine"] > 0
+        else:
+            assert layers == {"engine": 0, "forced": 0,
+                              "scan": record["queries"]}
 
 
 # ---- verify -----------------------------------------------------------------

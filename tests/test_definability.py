@@ -5,14 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from itertools import combinations
+from pathlib import Path
+
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.gismo import run_gismo
-from gicsat.graph import build_graph, closed_neighborhood_set, parse_graph
+from gicsat.graph import (build_graph, closed_neighborhood_set, parse_graph,
+                          parse_graph_file)
+from gicsat.oracle import is_gics
 from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus,
                             enumerate_models_projected)
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def fig1():
@@ -310,23 +316,42 @@ def projection(g, failed):
 
 
 # path 0-1-2 at k=3: with every other variable fixed, only {0, 1, 2} and
-# {0, 2} differ on x_1, so the scan misses and the engine finds the witness
+# {0, 2} differ on x_1 alone; A = {0, 2} dominates N(1) and 1 is in N[A],
+# so the forced source answers even though y_1 is in the defining set
 PATH3 = encode_instance(build_graph(3, [(0, 1), (1, 2)]), 3)
+# path 0-1-2-3-4 at k=3: y_2 given every other group differs only between
+# {0, 2, 4} and {0, 4}; no forced rule covers a y target and the pool holds
+# no set of size 3, so the engine finds the witness and decodes it
+PATH5 = encode_instance(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3)
+
+
+def check_witness(inst, defining, answer):
+    """A SAT witness is two failure sets that agree on `defining` and whose
+    projected models hold the target true for the first, false for the second."""
+    g = inst.graph
+    side = {z: (i, v) for i, zs in enumerate((inst.x, inst.y))
+            for v, z in enumerate(zs)}  # z -> (0 for x / 1 for y, node)
+    f1, f2 = answer.witness
+    assert len(f1) <= inst.k and len(f2) <= inst.k
+    p1, p2 = projection(g, f1), projection(g, f2)
+    for z in defining:
+        i, v = side[z]
+        assert (v in p1[i]) == (v in p2[i])
+    i, v = side[answer.var]
+    assert v in p1[i] and v not in p2[i]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn_queries())
 @example((PATH3, set(PATH3.z_vars) - {PATH3.x[1]}))
+@example((PATH5, set(PATH5.z_vars) - set(PATH5.group_of(2))))
 def test_query_matches_engine_on_base(query):
     # compare every answer with a plain engine call on the same base formula
     # and check each SAT witness against the graph: at k <= 2 it comes from
-    # the scan, at k > 2 it may be decoded from the engine's model
+    # the scan, at k > 2 also from the forced rule or the engine's model
     inst, defining = query
-    g = inst.graph
     ctx = DefinabilityContext(inst)
     hat, ind = documented_layout(inst)
-    side = {z: (i, v) for i, zs in enumerate((inst.x, inst.y))
-            for v, z in enumerate(zs)}  # z -> (0 for x / 1 for y, node)
     for target in inst.z_vars:
         if target in defining:
             continue
@@ -336,11 +361,84 @@ def test_query_matches_engine_on_base(query):
         assert got.status is want.status
         assert (got.witness is not None) == (got.status is SolveStatus.SAT)
         if got.status is SolveStatus.SAT:
-            f1, f2 = got.witness
-            assert len(f1) <= inst.k and len(f2) <= inst.k
-            p1, p2 = projection(g, f1), projection(g, f2)
-            for z in defining:
-                i, v = side[z]
-                assert (v in p1[i]) == (v in p2[i])
-            i, v = side[target]
-            assert v in p1[i] and v not in p2[i]
+            check_witness(inst, defining, got)
+
+
+def test_engine_witness_decoded_at_k3():
+    defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
+    got = DefinabilityContext(PATH5).query(defining, PATH5.y[2])
+    assert (got.status, got.layer) == (SolveStatus.SAT, "engine")
+    assert got.witness == (frozenset({0, 2, 4}), frozenset({0, 4}))
+
+
+# ---- the forced rule ---------------------------------------------------------
+
+@st.composite
+def drawn_graphs(draw):
+    """A graph on at most 8 nodes (self-loops and duplicates dropped) and a
+    k in 1..4."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return encode_instance(build_graph(n, pairs), draw(st.integers(1, min(4, n))))
+
+
+def in_every_placement(g, k):
+    """Brute force: the nodes common to every sensor set that is_gics accepts."""
+    common = set(range(g.n))  # the full node set always identifies
+    for size in range(g.n):
+        for sensors in combinations(range(g.n), size):
+            if is_gics(g, sensors, k):
+                common.intersection_update(sensors)
+    return common
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn_graphs())
+def test_forced_set_is_in_every_placement(inst):
+    # the rule's nodes are exactly those that no valid placement can drop;
+    # at k > 2 each of them answers its own x query from the graph
+    ctx = DefinabilityContext(inst)
+    forced = {v for v in range(inst.graph.n) if ctx._dominator(v) is not None}
+    assert forced == in_every_placement(inst.graph, inst.k)
+    support = set(inst.z_vars)
+    answered = {v for v in range(inst.graph.n)
+                if ctx.query(support - set(inst.group_of(v)),
+                             inst.x[v]).layer == "forced"}
+    assert answered == (forced if inst.k > 2 else set())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn_graphs(), st.data())
+def test_forced_answers_match_engine(inst, data):
+    # every forced answer, on any defining set and on the same set with the
+    # group's y variable added, is SAT for the engine too, and its witness
+    # holds on the graph
+    defining = data.draw(st.sets(st.sampled_from(inst.z_vars)))
+    ctx = DefinabilityContext(inst)
+    hat, ind = documented_layout(inst)
+    engine = CdclSolver(ctx.base)
+    for v in range(inst.graph.n):
+        x_v = inst.x[v]
+        for d in (defining - {x_v}, (defining | {inst.y[v]}) - {x_v}):
+            got = ctx.query(d, x_v)
+            if got.layer != "forced":
+                continue
+            assert inst.k > 2 and got.conflicts_used == 0
+            want = engine.solve([ind[c] for c in d] + [x_v, -hat[x_v]])
+            assert got.status is want.status is SolveStatus.SAT
+            check_witness(inst, d, got)
+
+
+@pytest.mark.parametrize("name", ["path20.edges", "grid5x5.edges"])
+def test_forced_graphs_build_no_engine_at_k3(monkeypatch, name):
+    # every node is kept, each on its own x query answered by the forced rule
+    def boom(*a, **kw):
+        raise AssertionError("a forced graph must not construct a solver")
+
+    monkeypatch.setattr(CdclSolver, "__init__", boom)
+    inst = encode_instance(parse_graph_file(str(DATA / name)), 3)
+    res = run_gismo(inst)
+    assert res.sensor_set == set(range(inst.graph.n))
+    for entry in res.per_group_log:
+        assert [a.layer for a in entry.tested] == ["forced"]

@@ -263,7 +263,7 @@ def test_output_is_gis_and_gics_random():
 def test_output_is_gis_even_with_tiny_budget():
     rng = random.Random(71)
     saw_exhaustion = False
-    for _ in range(15):
+    for _ in range(40):
         inst = random_instance(rng, n_range=(4, 8), k_max=3)
         res = run_gismo(inst, GismoConfig(budget=1))
         saw_exhaustion |= res.budget_exhaustions > 0
