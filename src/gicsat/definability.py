@@ -18,18 +18,25 @@ cardinality-counter registers between the two copies can couple otherwise
 independent models through counter state and turn satisfiable queries
 unsatisfiable, which would be unsound here.
 
-Witness-first scan.  The models of F projected on x/y are exactly the
+Witness sources.  The models of F projected on x/y are exactly the
 failure sets S with |S| <= k, each as (x = S, y = N[S]), so a SAT answer
 is two failure sets (F1, F2) that agree on C, z true for F1: the witness
-`query` returns.  Before the engine is called, each query scans a pool of
-every failure set of size at most min(k, 2), built on the first query;
-each entry is its projected model as a bitmask with bit z for variable
-z.  Keyed by their bits on C, the first key seen with both values of z's
-bit is a witness (conflicts 0).  When k <= 2 the pool holds every failure
-set, so a scan with no witness proves definability: UNSAT without an
-engine call, and the conflict budget never applies.  For k > 2 a miss
-falls through to the engine, built on the first miss, whose two copies'
-x bits give the witness of a SAT model.
+`query` returns.  Three sources are asked in a fixed order; the first
+that answers names itself in the answer's `layer`:
+
+1. "forced" (k > 2 only): target x_v, where some A with v not in A and
+   |A| <= k - 1 dominates N(v).  (A + v, A) differ on x_v, on y_v iff v
+   is outside N[A], and nowhere else, so they are a witness (conflicts 0)
+   unless y_v is in C and v outside N[A].  Such an A exists exactly when v
+   is in every valid placement.
+2. "scan": a pool of every failure set of size at most min(k, 2), built
+   on the first query; each entry is its projected model as a bitmask
+   with bit z for variable z.  Keyed by their bits on C, the first key
+   seen with both values of z's bit is a witness (conflicts 0).  When
+   k <= 2 the pool holds every failure set, so a scan with no witness
+   proves definability: UNSAT, and the conflict budget never applies.
+3. "engine" (k > 2 only): the query above, on an engine built on the
+   first call; the two copies' x bits give the witness of a SAT model.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ class DefinabilityContext:
     """One shared incremental solver over the doubled formula.
 
     engine names the `satcore.ENGINES` entry that answers the queries the
-    scan leaves open.  It is checked here but built on the first such
-    query, so at k <= 2 no engine is ever built.
+    forced rule and the scan leave open.  It is checked here but built on
+    the first such query, so at k <= 2 no engine is ever built.
     """
 
     def __init__(self, inst: EncodedInstance, engine: str = "bundled"):

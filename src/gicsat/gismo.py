@@ -1,10 +1,11 @@
 """Greedy group elimination: compute a set-minimal grouped independent support.
 
 Starting from all groups, each node's group is tentatively removed; its two
-variables are tested, y first and then x, for definability from the
-support, the groups not dropped so far (not yet processed groups plus
-groups already kept).  The probe order changes how many queries run, never
-which groups are kept.  A
+variables are tested for definability from the support, the groups not
+dropped so far (not yet processed groups plus groups already kept).  At
+k > 2 x is probed first, since a graph-forced node answers its own x query
+without the engine; at k <= 2 y goes first, which takes fewer scans.  The
+probe order changes how many queries run, never which groups are kept.  A
 group stays selected as soon as one of its variables is not provably
 defined -- a satisfiable query or an exhausted conflict budget both keep
 the group, so budget exhaustion errs on the safe side and the output is a
