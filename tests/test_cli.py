@@ -226,7 +226,7 @@ def test_solve_time_limit_off_the_main_thread_is_usage_error(capsys):
 
 
 def test_solve_deterministic_output(tmp_path, capsys):
-    # at k=4 the forced rule, the scan and the engine all answer queries
+    # at k=4 both the forced rule and the engine answer queries
     for graph, k in ((FIG1, 2), (GNP30, 4)):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -4,8 +4,8 @@ With no budget exhaustion the sensor set depends only on the graph, k and
 the processing order, never on how the definability queries are run, so a
 refactor of the query path must reproduce these sets exactly.  Labels are
 listed in string order.  At k <= 2 the failure-set scan answers every
-query, with no conflicts; the k=3 and k=4 rows also run the engine on the
-scan's misses.
+query, with no conflicts; on the k=3 and k=4 rows the graph-forced rule
+answers first and the engine takes what neither it nor the scan answers.
 
 run_gismo probes each group's x variable first at k > 2, where a
 graph-forced node answers its own x query, and its y variable first at
