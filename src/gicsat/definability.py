@@ -14,8 +14,8 @@ incremental call: assume {e_c : c in C} plus z and -z'.  UNSAT means every
 pair of models agreeing on C agrees on z; SAT hands back a witness pair.
 
 The auxiliary variables are deliberately renamed as well: sharing the
-cardinality-counter registers between the two copies can couple otherwise
-independent models through counter state and turn satisfiable queries
+cardinality totalizer's outputs between the two copies can couple otherwise
+independent models through those outputs and turn satisfiable queries
 unsatisfiable, which would be unsound here.
 
 Witness sources.  The models of F projected on x/y are exactly the
@@ -84,14 +84,15 @@ class DefinabilityContext:
         f = inst.formula
         shift, nz = f.num_vars, 2 * inst.graph.n
         base = CnfFormula(2 * shift + nz)
-        for clause in f.clauses:
-            base.add_clause(clause)
-        for clause in f.clauses:
-            base.add_clause([l + shift if l > 0 else l - shift for l in clause])
+        # F's clauses are already normalised, so they are copied, not re-added
+        clauses = base.clauses
+        clauses.extend(clause[:] for clause in f.clauses)
+        clauses.extend([l + shift if l > 0 else l - shift for l in clause]
+                       for clause in f.clauses)
         for z in range(1, nz + 1):
             e = 2 * shift + z
-            base.add_clause([-e, -z, z + shift])
-            base.add_clause([-e, z, -z - shift])
+            clauses.append([-e, -z, z + shift])
+            clauses.append([-e, z, -z - shift])
 
         self.base = base
         self._make_engine = engine_factory(engine)

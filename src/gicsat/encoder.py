@@ -5,16 +5,17 @@ x_v (node v fails at t0) and y_v (a sensor at v would be red at t1):
 
   * detection: y_v  <->  OR_{u in N1+(v)} x_u, clausified as one long
     clause (-y_v, x_u ...) plus one binary (-x_u, y_v) per neighbor;
-  * cardinality: sum x_v <= k, as a sequential counter.
+  * cardinality: sum x_v <= k, as a totalizer over x in index order.
 
 Variable numbering is deterministic: x_1..x_n, then y_1..y_n, then the
-counter auxiliaries.  Each node owns the two-variable group {x_v, y_v};
+totalizer's outputs.  Each node owns the two-variable group {x_v, y_v};
 auxiliaries belong to no group and never enter a projection set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .graph import Graph
@@ -26,7 +27,7 @@ class EncodedInstance:
     """The formula and its variable layout.
 
     x[v] and y[v] are node v's variables and form its group {x_v, y_v};
-    aux holds the counter registers, which belong to no group.
+    aux holds the totalizer's outputs, which belong to no group.
     """
 
     graph: Graph
@@ -61,48 +62,86 @@ def encode_detection(g: Graph, x: Sequence[int],
 
 def encode_cardinality(vars_: Sequence[int], k: int,
                        fresh: Callable[[], int]) -> tuple[list[list[int]], list[int]]:
-    """Sequential-counter encoding of sum(vars_) <= k.
+    """Totalizer encoding of sum(vars_) <= k (Bailleux & Boufkhad, CP 2003).
 
-    Register s[i][j] reads "at least j of the first i inputs are true".
-    Any input assignment with at most k true inputs extends to at least one
-    satisfying register assignment.  Size stays linear in both arguments:
-    (n-1)*k auxiliaries and k+1 + (n-2)(2k+1) clauses, so a full instance
-    needs O(k*n + n + m) clauses overall.  Returns (clauses, auxiliary
-    vars); both are empty when k == len(vars_), the constraint being vacuous.
+    A balanced binary tree splits vars_ in index order; a leaf's one output
+    is its input.  An inner node over s inputs has outputs r_1..r_min(s, k),
+    r_j reading "at least j inputs of this subtree are true", and from its
+    children's outputs a_i, b_j (a_0 and b_0 meaning true) takes the upward
+    clauses (-a_i, -b_j, r_(i+j)) for 1 <= i+j <= min(s, k) and the overflow
+    clauses (-a_i, -b_j) for i+j == k+1.  The root has no outputs, only its
+    overflow clauses.  Any input assignment with at most k true inputs
+    extends to a satisfying output assignment, and unit propagation alone
+    sets every other input false once k inputs are true.  A true input
+    climbs a path of depth about log2(n), not a chain through every later
+    input.  Auxiliaries are allocated children first, so the layout is
+    deterministic; see cardinality_clause_count and cardinality_aux_count
+    for the sizes.  Returns (clauses, auxiliary vars); both are empty when
+    k == len(vars_), the constraint being vacuous.
     """
     n = len(vars_)
     if not 1 <= k <= n:
         raise ValueError(f"cardinality bound k={k} out of range 1..{n}")
     if k == n:
         return [], []
-    s = [[fresh() for _ in range(k)] for _ in range(n - 1)]
-    aux = [var for row in s for var in row]
     clauses: list[list[int]] = []
-    clauses.append([-vars_[0], s[0][0]])
-    for j in range(1, k):
-        clauses.append([-s[0][j]])
-    for i in range(1, n - 1):
-        clauses.append([-vars_[i], s[i][0]])
-        clauses.append([-s[i - 1][0], s[i][0]])
-        for j in range(1, k):
-            clauses.append([-vars_[i], -s[i - 1][j - 1], s[i][j]])
-            clauses.append([-s[i - 1][j], s[i][j]])
-        clauses.append([-vars_[i], -s[i - 1][k - 1]])
-    clauses.append([-vars_[n - 1], -s[n - 2][k - 1]])
+    aux: list[int] = []
+
+    def outputs(lo: int, hi: int, root: bool = False) -> list[int]:
+        if hi - lo == 1:
+            return [vars_[lo]]
+        mid = (lo + hi) // 2
+        a, b = outputs(lo, mid), outputs(mid, hi)
+        r = [] if root else [fresh() for _ in range(min(hi - lo, k))]
+        aux.extend(r)
+        for i in range(len(a) + 1):
+            left = [-a[i - 1]] if i else []
+            for j in range(len(b) + 1):
+                if 0 < i + j <= len(r):
+                    clauses.append(left + [-b[j - 1], r[i + j - 1]] if j
+                                   else left + [r[i - 1]])
+                elif i + j == k + 1:  # i, j >= 1: no child counts past k
+                    clauses.append(left + [-b[j - 1]])
+        return r
+
+    outputs(0, n, root=True)
     return clauses, aux
 
 
+def _totalizer_size(n: int, k: int) -> tuple[int, int]:
+    """(clauses, auxiliaries) of encode_cardinality for n > k inputs.
+
+    With p, q a node's children's output counts and e = max(0, p+q-k) its
+    pairs i+j == k+1 (the overflow clauses), an inner node's upward clauses
+    are its (p+1)(q+1) - 1 pairs minus the e(e+1)/2 with i+j > min(s, k).
+    """
+    @lru_cache(maxsize=None)  # the balanced split has <= 2 sizes per level
+    def size(s: int, root: bool = False) -> tuple[int, int]:
+        if s == 1:
+            return 0, 0
+        left, right = s // 2, s - s // 2
+        p, q = min(left, k), min(right, k)
+        e = max(0, p + q - k)
+        if root:
+            clauses, aux = e, 0
+        else:
+            clauses, aux = (p + 1) * (q + 1) - 1 - e * (e + 1) // 2 + e, min(s, k)
+        for half in (left, right):
+            c, a = size(half)
+            clauses, aux = clauses + c, aux + a
+        return clauses, aux
+
+    return size(n, True)
+
+
 def cardinality_clause_count(n: int, k: int) -> int:
-    """Closed-form clause count of encode_cardinality for n inputs."""
-    if k >= n:
-        return 0
-    return k + 1 + (n - 2) * (2 * k + 1)
+    """Exact clause count of encode_cardinality for n inputs."""
+    return 0 if k >= n else _totalizer_size(n, k)[0]
 
 
 def cardinality_aux_count(n: int, k: int) -> int:
-    if k >= n:
-        return 0
-    return (n - 1) * k
+    """Exact auxiliary count of encode_cardinality for n inputs."""
+    return 0 if k >= n else _totalizer_size(n, k)[1]
 
 
 def encode_instance(g: Graph, k: int) -> EncodedInstance:
@@ -116,8 +155,9 @@ def encode_instance(g: Graph, k: int) -> EncodedInstance:
     y = tuple(f.new_var() for _ in range(g.n))
     detection = encode_detection(g, x, y)
     card, aux = encode_cardinality(x, k, f.new_var)
-    f.add_clauses(detection)
-    f.add_clauses(card)
+    # both encoders emit normalised clauses (distinct literals, allocated
+    # variables, no tautology: the graph is loop-free), so no add_clause pass
+    f.clauses += detection + card
     return EncodedInstance(graph=g, k=k, formula=f, x=x, y=y, aux=tuple(aux),
                            detection_clauses=len(detection),
                            cardinality_clauses=len(card))

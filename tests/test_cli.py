@@ -30,8 +30,9 @@ def test_encode_sidecar_reports_clause_breakdown(tmp_path, capsys):
     assert run_cli(["encode", FIG1, "--k", "1", "--output", str(out)]) == 0
     sidecar = json.loads((tmp_path / "fig1.json").read_text())
     assert sidecar["detection_clauses"] == 22
-    # sequential counter closed form for n=5, k=1: k+1 + (n-2)(2k+1)
-    assert sidecar["cardinality_clauses"] == 11
+    # totalizer for n=5, k=1: nodes over 2 and 3 inputs (3 clauses each),
+    # the 3-node's child over 2 (3) and the root's overflow clause (1)
+    assert sidecar["cardinality_clauses"] == 10
     assert sidecar["n"] == 5 and sidecar["m"] == 6 and sidecar["k"] == 1
     assert set(sidecar["vars"]) == {"a", "b", "c", "d", "e"}
     with open(out) as fp:

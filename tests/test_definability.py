@@ -60,15 +60,15 @@ def documented_layout(inst):
 def test_base_variable_count_fig1():
     inst = encode_instance(fig1(), 1)
     ctx = DefinabilityContext(inst)
-    t = inst.formula.num_vars  # 10 projected + 4 counter auxiliaries
-    assert t == 14
+    t = inst.formula.num_vars  # 10 projected + 3 totalizer outputs
+    assert t == 13
     assert inst.z_vars == tuple(range(1, 11))
     assert ctx.base.num_vars == 2 * t + len(inst.z_vars)
     _, ind = documented_layout(inst)
     assert max(ind.values()) == ctx.base.num_vars
-    # the counter registers are renamed too, into the copy's range
+    # the totalizer outputs are renamed too, into the copy's range
     hat_aux = {a + t for a in inst.aux}
-    assert len(hat_aux) == len(inst.aux) == 4
+    assert len(hat_aux) == len(inst.aux) == 3
     assert max(hat_aux) <= 2 * t
 
 

@@ -108,13 +108,59 @@ def test_cardinality_exact_semantics(n, k):
 
 
 def test_cardinality_counts_match_closed_forms():
-    for n in (2, 3, 5, 8, 13):
+    for n in (2, 3, 5, 8, 13, 40):
         for k in range(1, n + 1):
             f = CnfFormula()
             xs = f.new_vars(n)
             clauses, aux = encode_cardinality(xs, k, f.new_var)
             assert len(clauses) == cardinality_clause_count(n, k)
             assert len(aux) == cardinality_aux_count(n, k)
+
+
+def test_cardinality_never_larger_than_sequential_counter():
+    # the sequential counter (Sinz, CP 2005) takes k+1 + (n-2)(2k+1) clauses
+    # and (n-1)k registers
+    for n in range(2, 201):
+        for k in range(1, n):
+            assert cardinality_clause_count(n, k) <= k + 1 + (n - 2) * (2 * k + 1)
+            assert cardinality_aux_count(n, k) <= (n - 1) * k
+    assert (cardinality_clause_count(40, 4), cardinality_aux_count(40, 4)) \
+        == (288, 112)
+
+
+def unit_propagate(clauses, lits):
+    """The literals unit propagation implies from `lits`, or None on a conflict."""
+    lits = set(lits)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(l in lits for l in clause):
+                continue
+            free = [l for l in clause if -l not in lits]
+            if not free:
+                return None
+            if len(free) == 1:
+                lits.add(free[0])
+                changed = True
+    return lits
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cardinality_propagates_the_bound(n):
+    # semantics alone cannot tell a correct but weakly propagating encoding:
+    # k true inputs must set every other input false by propagation alone,
+    # and k+1 true inputs must be a propagation conflict
+    for k in range(1, n):
+        f = CnfFormula()
+        xs = f.new_vars(n)
+        clauses, _ = encode_cardinality(xs, k, f.new_var)
+        for true in itertools.combinations(xs, k):
+            implied = unit_propagate(clauses, true)
+            assert implied is not None
+            assert all(-x in implied for x in xs if x not in true)
+        for true in itertools.combinations(xs, k + 1):
+            assert unit_propagate(clauses, true) is None
 
 
 def test_cardinality_rejects_bad_k():
@@ -141,9 +187,24 @@ def test_variable_numbering_deterministic():
     inst = encode_instance(g, 2)
     assert inst.x == (1, 2, 3, 4, 5)
     assert inst.y == (6, 7, 8, 9, 10)
-    assert inst.aux == tuple(range(11, 11 + 4 * 2))
+    # totalizer nodes over 2, 2 and 3 inputs, children first: 2 outputs each
+    assert inst.aux == tuple(range(11, 11 + 3 * 2))
     assert inst.z_vars == tuple(range(1, 11))
     assert inst.group_of(0) == (1, 6)
+
+
+def test_instance_clauses_are_normalised():
+    # encode_instance appends the encoders' clauses without add_clause
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 0.4])
+        inst = encode_instance(g, rng.randint(1, n))
+        for clause in inst.formula.clauses:
+            assert clause
+            assert len({abs(l) for l in clause}) == len(clause)
+            assert all(1 <= abs(l) <= inst.formula.num_vars for l in clause)
 
 
 def test_varmap_ranges_disjoint():
