@@ -84,7 +84,8 @@ def _build_parser() -> _Parser:
     sol.add_argument("--order", default="input",
                      help="group order: input, deg-desc, deg-asc, random, "
                           "or an explicit comma-separated label list")
-    sol.add_argument("--seed", type=int, default=None)
+    sol.add_argument("--seed", type=int, default=None,
+                     help="shuffle seed, required by --order random")
     sol.add_argument("--output", default=None, help="also write the JSON record here")
     sol.add_argument("--timing", action="store_true",
                      help="include wall-clock seconds in the record "
@@ -174,11 +175,14 @@ def _parse_order(text: str, g: Graph) -> str | tuple[int, ...]:
     return order
 
 
-def _check_not_input(graph_path: str, *outputs: str | None) -> None:
+def _check_not_input(input_path: str, *outputs: str | None,
+                     kind: str = "graph") -> None:
+    """UsageError if an output path names the existing input file."""
     for path in outputs:
-        if path and os.path.exists(path) and os.path.samefile(path, graph_path):
+        if (path and os.path.exists(path) and os.path.exists(input_path)
+                and os.path.samefile(path, input_path)):
             raise UsageError(f"writing {path!r} would overwrite the input "
-                             f"graph; choose another --output")
+                             f"{kind}; choose another --output")
 
 
 def cmd_encode(args) -> int:
@@ -253,9 +257,12 @@ def cmd_solve(args) -> int:
     try:
         g = _load_graph(args.graph, args.format)
         _check_k(g, args.k)
-        cfg = gismo.GismoConfig(budget=args.budget,
-                                order=_parse_order(args.order, g),
-                                seed=args.seed)
+        try:
+            cfg = gismo.GismoConfig(budget=args.budget,
+                                    order=_parse_order(args.order, g),
+                                    seed=args.seed)
+        except ValueError as exc:
+            raise UsageError(f"--order: {exc}; pass --seed") from None
         record = solve_record(args.graph, g, args.k, cfg, timing=args.timing)
     finally:
         restore()
@@ -371,6 +378,9 @@ def cmd_bench(args) -> int:
     except OSError as exc:
         raise GraphParseError(f"cannot read manifest: {exc}")
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
+    _check_not_input(args.manifest, args.output, kind="manifest")
+    for path in paths:
+        _check_not_input(path, args.output)
 
     records = []
     for path in paths:

@@ -35,7 +35,8 @@ class GismoConfig:
     """Knobs of one run.
 
     order is one of ORDER_KEYWORDS or an explicit node-index permutation;
-    seed only matters for order="random".  budget is the per-query conflict
+    seed is required by order="random", so that the config fixes the run,
+    and ignored otherwise.  budget is the per-query conflict
     allowance.  The engine is chosen by the DefinabilityContext passed to
     run_gismo.
     """
@@ -51,6 +52,8 @@ class GismoConfig:
             if self.order not in ORDER_KEYWORDS:
                 raise ValueError(f"order must be one of {ORDER_KEYWORDS} "
                                  f"or an explicit node sequence")
+            if self.order == "random" and self.seed is None:
+                raise ValueError("order 'random' needs a seed")
         else:
             object.__setattr__(self, "order", tuple(self.order))
 

@@ -8,11 +8,14 @@ solve(assumptions, budget) and enumerate_projected(proj, cap).  Each solve
 call takes assumption literals and a conflict budget, and learned clauses
 are kept across calls (they are entailed by the clause database alone,
 never by assumptions, so reuse is sound).  enumerate_projected lists every
-projected model in one search: each model is blocked by a clause, and the
-search backjumps to where that clause asserts or conflicts instead of
-restarting at the root.  solve and enumerate_projected share one CDCL loop
-(CdclSolver._search).  Per-literal state lives in flat lists indexed by the
-signed literal itself (see CdclSolver).
+projected model in one search: it decides the projected variables first,
+each one true, so that the decisions on them imply the whole projected row,
+and blocks each model by the negation of those decisions alone.  Each such
+clause asserts at once, so the search backjumps instead of restarting at
+the root, with no conflict analysis and no learned clause per model.  solve
+and enumerate_projected share one CDCL loop (CdclSolver._search).
+Per-literal state lives in flat lists indexed by the signed literal itself
+(see CdclSolver).
 
 Everything here is deterministic: no randomness, stable tie-breaking by
 variable index, insertion-ordered containers only.
@@ -348,14 +351,14 @@ class CdclSolver:
     # ---- decisions -------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
+        """The unassigned variable of highest activity; one must exist."""
         heap, value, in_heap = self.heap, self.value, self.in_heap
-        while heap:
+        while True:
             na, v = heappop(heap)
             if -na == in_heap[v]:  # v's live entry: it leaves the heap
                 in_heap[v] = None
                 if value[v] is None:
                     return v
-        return 0
 
     # ---- main loop -------------------------------------------------------
 
@@ -372,69 +375,67 @@ class CdclSolver:
         for lit in assumptions:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"assumption {lit} references an unallocated variable")
-        return self._search(assumptions, budget, None)
+        return self._search(assumptions, budget, (), None)
 
     def enumerate_projected(self, proj: Sequence[int],
                             cap: int) -> list[tuple[int, ...]]:
         """Every model of the clause database projected on proj, in one search.
 
         proj holds distinct allocated variables; each row lists their
-        literals in proj's order.  Each model found is blocked by the
-        negation of its row and the search goes on from where the blocking
-        clause becomes unit or conflicting, not from the root.  Blocking
-        clauses stay in the database, so the engine ends UNSAT.  Raises
-        ModelCapExceeded on model number cap + 1.
+        literals in proj's order.  The search decides the projected
+        variables first, in proj's order and each one true, and only then
+        lets VSIDS pick.  So at a model, unit propagation from the decisions
+        on projected variables implies every projected literal, and the
+        negation of those decisions alone blocks exactly this row.  The
+        blocking clause's first literal is alone at its level: the search
+        backjumps to the level of its second literal (the root for a unit)
+        and asserts it, with no conflict analysis.  Blocking clauses stay in
+        the database, so the engine ends UNSAT.  Raises ModelCapExceeded on
+        model number cap + 1.
         """
-        value = self.value
+        value, trail, trail_lim = self.value, self.trail, self.trail_lim
+        projected = set(proj)
         rows: list[tuple[int, ...]] = []
 
-        def block_model() -> int | None:
+        def block_model() -> None:
             if len(rows) >= cap:
                 raise ModelCapExceeded(cap)
-            row = tuple(v if value[v] else -v for v in proj)
-            rows.append(row)
-            return self._add_blocking([-lit for lit in row])
+            rows.append(tuple(v if value[v] else -v for v in proj))
+            self._add_blocking([-trail[lim] for lim in reversed(trail_lim)
+                                if abs(trail[lim]) in projected])
 
-        self._search((), _NO_BUDGET, block_model)
+        self._search((), _NO_BUDGET, proj, block_model)
         return rows
 
-    def _add_blocking(self, clause: list[int]) -> int | None:
-        """Add a blocking clause, which the full current assignment falsifies.
+    def _add_blocking(self, clause: list[int]) -> None:
+        """Add a blocking clause of negated decisions, highest level first.
 
-        Root-false literals are dropped and the rest sorted by descending
-        level.  An empty clause makes the database UNSAT.  A clause with one
-        literal at its top level backjumps to its next level (the root for a
-        unit) and asserts that literal; otherwise it cancels to the top
-        level and returns the clause id as a conflict for _analyze.
-        Blocking clauses count as original, so _reduce_db never deletes them.
+        Each literal is alone at its level, so the clause asserts its first
+        literal at the level of its second (the root for a unit); an empty
+        clause makes the database UNSAT.  Blocking clauses count as
+        original, so _reduce_db never deletes them.
         """
-        level = self.level
-        clause = sorted((lit for lit in clause if level[abs(lit)] > 0),
-                        key=lambda lit: -level[abs(lit)])
         self.num_original += 1
         if not clause:
             self.ok = False
-            return None
-        if len(clause) == 1:
+        elif len(clause) == 1:
             self._cancel_until(0)
             self._enqueue(clause[0], None)
-            return None
-        top, second = level[abs(clause[0])], level[abs(clause[1])]
-        if second < top:
-            self._cancel_until(second)
+        else:
+            self._cancel_until(self.level[abs(clause[1])])
             self._enqueue(clause[0], self._attach(clause))
-            return None
-        self._cancel_until(top)
-        return self._attach(clause)
 
     def _search(self, assumptions: Sequence[int], budget: int,
-                on_model: Callable[[], int | None] | None) -> SolveOutcome:
+                order: Sequence[int],
+                on_model: Callable[[], None] | None) -> SolveOutcome:
         """The CDCL loop of solve and enumerate_projected.
 
-        With on_model None the first model ends the search.  Otherwise
-        on_model is called at each model; it blocks the model and returns
-        a conflict clause id, or None once it has asserted a literal or
-        made the database UNSAT, and the search goes on until UNSAT.
+        Past the assumptions, the search decides the first unassigned
+        variable of order, true, and lets VSIDS pick only once order is all
+        assigned.  With on_model None the first model ends the search.
+        Otherwise on_model is called at each model; it blocks the model and
+        asserts a literal or makes the database UNSAT, and the search goes
+        on until UNSAT.
         """
         self._cancel_until(0)
         if not self.ok:
@@ -462,11 +463,12 @@ class CdclSolver:
                     else:
                         next_lit = p
                         break
-                if next_lit == 0:
-                    v = self._pick_branch_var()
-                    if v:
-                        self.decisions += 1
+                if next_lit == 0 and len(self.trail) < self.num_vars:
+                    next_lit = next((v for v in order if self.value[v] is None), 0)
+                    if not next_lit:
+                        v = self._pick_branch_var()
                         next_lit = v if self.phase[v] else -v
+                    self.decisions += 1
                 if next_lit:
                     self.trail_lim.append(len(self.trail))
                     self._enqueue(next_lit, None)
@@ -475,11 +477,10 @@ class CdclSolver:
                     model = [bool(val) for val in self.value[:self.num_vars + 1]]
                     self._cancel_until(0)
                     return SolveOutcome(SolveStatus.SAT, model, conflicts)
-                confl = on_model()
+                on_model()
                 if not self.ok:
                     return SolveOutcome(SolveStatus.UNSAT, None, conflicts)
-                if confl is None:
-                    continue
+                continue
 
             conflicts += 1
             conflicts_since_restart += 1

@@ -155,6 +155,13 @@ def test_solve_timing_flag_adds_wall_seconds(tmp_path, capsys):
     assert rec["wall_seconds"] >= 0
 
 
+def test_solve_random_order_needs_a_seed(capsys):
+    # without a seed the shuffle, and so the record, would differ run to run
+    assert run_cli(["solve", FIG1, "--k", "1", "--order", "random"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--seed" in err
+
+
 def test_solve_unknown_order_label(tmp_path, capsys):
     assert run_cli(["solve", FIG1, "--k", "1", "--order", "q,w,e,r,t"]) == 1
     capsys.readouterr()
@@ -355,6 +362,27 @@ def test_bench_unparsable_graph_record(tmp_path, capsys):
     assert [r["status"] for r in report["records"]] == ["encode-fail"] * 2
     assert all("line 1" in r["error"] and r["n"] is None
                for r in report["records"])
+
+
+@pytest.mark.parametrize("output", ["manifest.txt", "g.edges"])
+def test_bench_never_overwrites_its_inputs(tmp_path, capsys, monkeypatch,
+                                           output):
+    # the report path is the manifest or a graph it lists
+    with open(FIG1) as fp:
+        text = fp.read()
+    (tmp_path / "g.edges").write_text(text)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("g.edges\n")
+
+    def no_child(*args, **kwargs):
+        raise AssertionError("no solve may start before the check")
+
+    monkeypatch.setattr(cli.subprocess, "run", no_child)
+    assert run_cli(["bench", str(manifest), "--k", "1",
+                    "--output", str(tmp_path / output)]) == 1
+    assert "would overwrite the input" in capsys.readouterr().err
+    assert manifest.read_text() == "g.edges\n"
+    assert (tmp_path / "g.edges").read_text() == text
 
 
 def test_bench_bad_k_list(tmp_path, capsys):

@@ -228,6 +228,8 @@ def test_config_validation():
         GismoConfig(budget=0)
     with pytest.raises(ValueError):
         GismoConfig(order="bogus")
+    with pytest.raises(ValueError):
+        GismoConfig(order="random")
 
 
 # ---- verify_result ---------------------------------------------------------------

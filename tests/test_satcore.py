@@ -1,10 +1,15 @@
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gicsat.cli import TRUTH_TABLE_LIMIT
+from gicsat.encoder import encode_instance
+from gicsat.graph import parse_graph_file
+from gicsat.oracle import failure_set_count
 from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
                             SolveStatus, check_model, engine_factory,
                             enumerate_models_projected, read_dimacs,
@@ -356,6 +361,10 @@ def drawn_enumerations(draw):
 @example((3, [], [1, 2], 4))
 @example((4, [[1, 2, 3, 4]], [2, 1], 4))
 @example((3, [[1, 2], [1, 3]], [2, 3], 4))
+# x1 guards pigeonhole(3, 2) on variables 2-7: only a search among the
+# variables outside the projection refutes the decision x1
+@example((7, [[-1, 2, 3], [-1, 4, 5], [-1, 6, 7], [-2, -4], [-2, -6],
+              [-4, -6], [-3, -5], [-3, -7], [-5, -7]], [1], 2))
 def test_enumeration_matches_brute_force(drawn):
     n, clause_list, proj, cap = drawn
     f = CnfFormula(n)
@@ -369,6 +378,37 @@ def test_enumeration_matches_brute_force(drawn):
     assert len(set(rows)) == len(rows)
     assert all([abs(lit) for lit in row] == sorted(set(proj)) for row in rows)
     assert set(rows) == expect
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def truth_table_cases():
+    """Each data/ graph with each k at which `gicsat verify` enumerates."""
+    for path in sorted(DATA.glob("*.edges")):
+        n = parse_graph_file(str(path)).n
+        for k in range(1, n + 1):
+            if failure_set_count(n, k) <= TRUTH_TABLE_LIMIT:
+                yield path.name, k
+
+
+@pytest.mark.parametrize("name,k", list(truth_table_cases()))
+def test_failure_set_enumeration_learns_nothing(name, k):
+    # projected variables are decided first and each model is blocked by
+    # its decisions: no model costs a learned clause, and a full trail ends
+    # the search without draining the heap, which must not grow either
+    g = parse_graph_file(str(DATA / name))
+    inst = encode_instance(g, k)
+    eng = CdclSolver(inst.formula)
+    rows = eng.enumerate_projected(inst.z_vars, TRUTH_TABLE_LIMIT)
+    failure_sets = {frozenset(v for v in range(g.n) if row[v] > 0)
+                    for row in rows}
+    assert len(rows) == len(failure_sets) == failure_set_count(g.n, k)
+    assert all(len(fs) <= k for fs in failure_sets)
+    assert eng.learned_ids == []
+    assert len(eng.heap) <= eng.num_vars
+    if (name, k) == ("fig1.edges", 2):
+        assert (eng.decisions, eng.propagations) == (29, 150)
 
 
 # ---- DIMACS -------------------------------------------------------------------
