@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .encoder import EncodedInstance
@@ -144,9 +145,11 @@ def find_gis_collision(inst: EncodedInstance, group_nodes: Iterable[int],
         models = projected_models(inst)
     support = {var for v in group_nodes for var in inst.group_of(v)}
     positions = [i for i, var in enumerate(inst.z_vars) if var in support]
+    # each group puts two positions in, so itemgetter returns tuples
+    key_of = itemgetter(*positions) if positions else lambda row: ()
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for row in models:
-        key = tuple(row[i] for i in positions)
+        key = key_of(row)
         if key in seen:
             return (seen[key], row)
         seen[key] = row

@@ -1,21 +1,28 @@
 """CNF formulas and a bundled incremental SAT engine.
 
 The engine is a conflict-driven clause-learning solver with two-literal
-watching, first-UIP learning, VSIDS-style branching, phase saving and Luby
-restarts.  It is built once from a CnfFormula, whose variable count fixes
-its size and whose clauses are its database; after that its surface is
-solve(assumptions, budget) and enumerate_projected(proj, cap).  Each solve
-call takes assumption literals and a conflict budget, and learned clauses
-are kept across calls (they are entailed by the clause database alone,
-never by assumptions, so reuse is sound).  enumerate_projected lists every
-projected model in one search: it decides the projected variables first,
-each one true, so that the decisions on them imply the whole projected row,
-and blocks each model by the negation of those decisions alone.  Each such
-clause asserts at once, so the search backjumps instead of restarting at
-the root, with no conflict analysis and no learned clause per model.  solve
-and enumerate_projected share one CDCL loop (CdclSolver._search).
+watching, binary implication lists, first-UIP learning, VSIDS-style
+branching, phase saving and Luby restarts.  It is built once from a
+CnfFormula, whose variable count fixes its size and whose clauses are its
+database; after that its surface is solve(assumptions, budget) and
+enumerate_projected(proj, cap).  Each solve call takes assumption literals
+and a conflict budget, and learned clauses are kept across calls (they are
+entailed by the clause database alone, never by assumptions, so reuse is
+sound).  enumerate_projected lists every projected model in one search: it
+decides the projected variables first, each one true, so that the
+decisions on them imply the whole projected row, and blocks each model by
+the negation of those decisions alone.  Each such clause asserts at once,
+so the search backjumps instead of restarting at the root, with no
+conflict analysis and no learned clause per model.  solve and
+enumerate_projected share one CDCL loop (CdclSolver._search).
+
 Per-literal state lives in flat lists indexed by the signed literal itself
-(see CdclSolver).
+(see CdclSolver).  A two-literal clause, original, learned or blocking, is
+kept off the watch lists: each of its literals lists the other one with
+the clause id, and unit propagation walks these implication lists before
+the watch lists of each literal it dequeues.  A binary clause that implies
+a literal is rewritten with that literal first, so that every reason
+clause starts with the literal it implied.
 
 Everything here is deterministic: no randomness, stable tie-breaking by
 variable index, insertion-ordered containers only.
@@ -25,7 +32,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import IO, Callable, Iterable, Sequence
 
 _NO_BUDGET = 1 << 62
@@ -102,17 +110,27 @@ def check_model(f: CnfFormula, model: Sequence[bool]) -> bool:
 class CdclSolver:
     """Bundled CDCL engine; one instance is one single-threaded context.
 
-    `value[lit]` (True, False or None) and `watches[lit]` have 2n+1 slots
-    indexed by the signed literal: `-v` is slot 2n+1-v, slot 0 is unused.
-    `level`, `reason`, `activity`, `phase` and `in_heap` are indexed by the
-    variable.
+    `value[lit]` (True, False or None), `watches[lit]` and `bins[lit]` have
+    2n+1 slots indexed by the signed literal: `-v` is slot 2n+1-v, slot 0 is
+    unused.  `level`, `reason`, `activity`, `phase` and `in_heap` are indexed
+    by the variable; `reason[v]` is meaningful only while v is assigned.
+
+    A clause of three or more literals is watched by its first two:
+    `watches[lit]` lists the ids of the clauses that watch lit.  A
+    two-literal clause [a, b] is in no watch list: `bins[a]` holds (b, ci)
+    and `bins[b]` holds (a, ci), so when a becomes false b is implied from
+    a's list alone.  Every clause, binary or not, stays in `clauses` under
+    its id.  The first literal of a reason clause is the literal it
+    implied, as `_analyze` expects; when a binary clause implies a literal,
+    `_propagate` writes it back in that order.
 
     The branching heap holds (-activity, v) entries and is pruned lazily.
     `in_heap[v]` is the activity of v's one live entry, None when v has
     none; any other entry of v is stale and skipped when popped.  Every
     unassigned variable has its live entry at its current activity, so the
     branch variable is the unassigned one of highest activity, lowest index
-    first among equals.
+    first among equals.  Backtracking rebuilds the heap from the live
+    entries once it holds more than 2n entries.
 
     `decisions` (branch variables picked; assumption levels are not
     counted) and `propagations` (literals dequeued by unit propagation) are
@@ -123,6 +141,7 @@ class CdclSolver:
         n = self.num_vars = formula.num_vars
         self.clauses: list[list[int] | None] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.bins: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
         self.value: list[bool | None] = [None] * (2 * n + 1)
         self.level: list[int] = [0] * (n + 1)
         self.reason: list[int | None] = [None] * (n + 1)
@@ -167,8 +186,13 @@ class CdclSolver:
     def _attach(self, clause: list[int]) -> int:
         ci = len(self.clauses)
         self.clauses.append(clause)
-        self.watches[clause[0]].append(ci)
-        self.watches[clause[1]].append(ci)
+        a, b = clause[0], clause[1]
+        if len(clause) == 2:
+            self.bins[a].append((b, ci))
+            self.bins[b].append((a, ci))
+        else:
+            self.watches[a].append(ci)
+            self.watches[b].append(ci)
         return ci
 
     # ---- trail --------------------------------------------------------
@@ -185,34 +209,60 @@ class CdclSolver:
         if len(self.trail_lim) <= lvl:
             return
         lim = self.trail_lim[lvl]
-        value, phase, reason = self.value, self.phase, self.reason
+        value, phase, trail = self.value, self.phase, self.trail
         heap, activity, in_heap = self.heap, self.activity, self.in_heap
-        for i in range(len(self.trail) - 1, lim - 1, -1):
-            lit = self.trail[i]
-            v = abs(lit)
-            phase[v] = lit > 0
+        for lit in trail[lim:]:
             value[lit] = value[-lit] = None
-            reason[v] = None
+            if lit > 0:
+                v = lit
+                phase[v] = True
+            else:
+                v = -lit
+                phase[v] = False
             act = activity[v]
             if in_heap[v] != act:
                 heappush(heap, (-act, v))
                 in_heap[v] = act
-        del self.trail[lim:]
+        del trail[lim:]
         del self.trail_lim[lvl:]
-        self.qhead = min(self.qhead, len(self.trail))
+        self.qhead = min(self.qhead, lim)
+        if len(heap) > 2 * self.num_vars:  # shed the stale entries
+            heap[:] = [(-act, v) for v, act in enumerate(in_heap)
+                       if act is not None]
+            heapify(heap)
 
     # ---- propagation ---------------------------------------------------
 
     def _propagate(self) -> int | None:
         """Run unit propagation to fixpoint; the conflict clause id, if any."""
-        clauses, value, watches = self.clauses, self.value, self.watches
+        clauses, value, watches, bins = (self.clauses, self.value,
+                                         self.watches, self.bins)
         level, reason, trail = self.level, self.reason, self.trail
         lvl = len(self.trail_lim)
         qhead = self.qhead
-        while qhead < len(trail):
-            neg = -trail[qhead]
+        for p in islice(trail, qhead, None):  # reaches literals appended below
+            neg = -p
             qhead += 1
+            for other, ci in bins[neg]:
+                ov = value[other]
+                if ov:
+                    continue
+                if ov is False:
+                    self.propagations += qhead - self.qhead
+                    self.qhead = qhead
+                    return ci
+                value[other] = True  # as _enqueue(other, ci)
+                value[-other] = False
+                v = other if other > 0 else -other
+                level[v] = lvl
+                reason[v] = ci
+                trail.append(other)
+                c = clauses[ci]  # the implied literal first, as a reason
+                c[0] = other
+                c[1] = neg
             ws = watches[neg]
+            if not ws:
+                continue
             i = j = 0
             end = len(ws)
             while i < end:
@@ -395,12 +445,13 @@ class CdclSolver:
         """
         value, trail, trail_lim = self.value, self.trail, self.trail_lim
         projected = set(proj)
+        signed = [(v, -v) for v in proj]  # every row shares these int objects
         rows: list[tuple[int, ...]] = []
 
         def block_model() -> None:
             if len(rows) >= cap:
                 raise ModelCapExceeded(cap)
-            rows.append(tuple(v if value[v] else -v for v in proj))
+            rows.append(tuple([v if value[v] else nv for v, nv in signed]))
             self._add_blocking([-trail[lim] for lim in reversed(trail_lim)
                                 if abs(trail[lim]) in projected])
 
@@ -464,8 +515,10 @@ class CdclSolver:
                         next_lit = p
                         break
                 if next_lit == 0 and len(self.trail) < self.num_vars:
-                    next_lit = next((v for v in order if self.value[v] is None), 0)
-                    if not next_lit:
+                    vals = list(map(self.value.__getitem__, order))
+                    if None in vals:
+                        next_lit = order[vals.index(None)]
+                    else:
                         v = self._pick_branch_var()
                         next_lit = v if self.phase[v] else -v
                     self.decisions += 1

@@ -10,8 +10,8 @@ from gicsat.cli import TRUTH_TABLE_LIMIT
 from gicsat.encoder import encode_instance
 from gicsat.graph import build_graph, parse_graph, parse_graph_file
 from gicsat.oracle import (EnumerationBudgetError, closed_masks,
-                           failure_set_count, find_signature_collision,
-                           is_gics, is_gis_bruteforce, min_gics_exhaustive,
+                           failure_set_count, find_gis_collision,
+                           find_signature_collision, is_gics, is_gis_bruteforce, min_gics_exhaustive,
                            projected_models, signature)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -159,6 +159,31 @@ def test_is_gis_bruteforce_matches_pairwise_definition():
             == (r1 == r2)
             for r1 in models for r2 in models)
         assert is_gis_bruteforce(inst, group_nodes, models) == pairwise
+
+
+def first_support_collision(inst, group_nodes, models):
+    """The first row whose support key an earlier row has, with that row."""
+    support = {var for v in group_nodes for var in inst.group_of(v)}
+    pos = [i for i, var in enumerate(inst.z_vars) if var in support]
+    seen = {}
+    for row in models:
+        key = tuple(row[i] for i in pos)
+        if key in seen:
+            return seen[key], row
+        seen[key] = row
+    return None
+
+
+def test_gis_collision_on_zero_and_one_group():
+    g = fig1()
+    inst = encode_instance(g, 1)
+    models = projected_models(inst)
+    # no group: every row keys to (), so the first two rows collide
+    assert find_gis_collision(inst, [], models) == (models[0], models[1])
+    for v in range(g.n):
+        got = find_gis_collision(inst, [v], models)
+        assert got is not None
+        assert got == first_support_collision(inst, [v], models)
 
 
 def test_reduction_cross_validation_random():

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicsat.cli import TRUTH_TABLE_LIMIT
+from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
+from gicsat.gismo import GismoConfig, run_gismo
 from gicsat.graph import parse_graph_file
 from gicsat.oracle import failure_set_count
 from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
@@ -288,6 +290,7 @@ def test_reused_solver_matches_brute_force(n, data):
         budget = data.draw(st.sampled_from([1, 2, 5, None]))
         out = eng.solve(assumptions, budget)
         assert_one_live_heap_entry(eng)
+        assert len(eng.heap) <= 2 * eng.num_vars
         assert budget is None or out.conflicts_used <= budget
         if out.status is SolveStatus.SAT:
             assert check_model(f, out.model)
@@ -296,6 +299,111 @@ def test_reused_solver_matches_brute_force(n, data):
             assert brute_force_solve(f, assumptions) is None
         else:
             assert budget is not None and out.conflicts_used == budget
+
+
+def test_heap_stays_bounded_through_gismo():
+    # bumped variables re-pushed on backtrack leave stale entries behind;
+    # backtracking sheds them once there are more than two per variable
+    inst = encode_instance(parse_graph_file(str(DATA / "gnp30.edges")), 4)
+    ctx = DefinabilityContext(inst)
+    res = run_gismo(inst, GismoConfig(order="input"), ctx)
+    eng = ctx._engine
+    assert res.total_conflicts > 0
+    assert len(eng.heap) <= 2 * eng.num_vars
+    assert_one_live_heap_entry(eng)
+
+
+# ---- binary implication lists --------------------------------------------------
+
+def satisfying_masks(f):
+    """Every model of f as a bitmask, bit v-1 set when variable v is true."""
+    checks = []
+    for clause in f.clauses:
+        pos = sum(1 << (l - 1) for l in clause if l > 0)
+        neg = sum(1 << (-l - 1) for l in clause if l < 0)
+        checks.append((pos, neg))
+    full = (1 << f.num_vars) - 1
+    return [bits for bits in range(full + 1)
+            if all(bits & pos or ~bits & neg & full for pos, neg in checks)]
+
+
+def signed(n, width):
+    """Clauses of `width` distinct variables out of 1..n, with signs."""
+    return st.tuples(
+        st.lists(st.integers(1, n), min_size=width, max_size=width, unique=True),
+        st.lists(st.booleans(), min_size=width, max_size=width),
+    ).map(lambda vs: [v if s else -v for v, s in zip(*vs)])
+
+
+@st.composite
+def mixed_cnfs(draw):
+    """2- and 3-literal clauses on at most 10 variables, and a few
+    assumption lists to run through one engine."""
+    n = draw(st.integers(2, 10))
+    widths = signed(n, 2) | signed(n, 3) if n > 2 else signed(n, 2)
+    clause_list = draw(st.lists(widths, min_size=1, max_size=5 * n))
+    calls = draw(st.lists(st.lists(literals(n), max_size=4),
+                          min_size=1, max_size=3))
+    return n, clause_list, calls
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mixed_cnfs())
+# x1 implies x2 and -x2 through two binary clauses: the conflict is met
+# while walking the implication list of -x1
+@example((2, [[-1, 2], [-1, -2]], [[1]]))
+# the first call learns the binary clause [1, 2]; in the second, -1
+# implies 2 by that clause's second literal, and the conflict that follows
+# resolves on it as the reason of 2
+@example((3, [[3, -2], [1, 3, 2], [2, 3, 1], [1, -3]], [[-2, -1, 3], [-1]]))
+def test_mixed_cnfs_match_brute_force(drawn):
+    n, clause_list, calls = drawn
+    f = CnfFormula(n)
+    f.add_clauses(clause_list)
+    models = satisfying_masks(f)
+    eng = CdclSolver(f)
+    for assumptions in calls:
+        out = eng.solve(assumptions)
+        want = sum(1 << (l - 1) for l in set(assumptions) if l > 0)
+        unwanted = sum(1 << (-l - 1) for l in set(assumptions) if l < 0)
+        expect_sat = any(bits & want == want and not bits & unwanted
+                         for bits in models)
+        assert out.status is (SolveStatus.SAT if expect_sat
+                              else SolveStatus.UNSAT)
+        if out.status is SolveStatus.SAT:
+            assert check_model(f, out.model)
+            assert all(out.model[abs(l)] == (l > 0) for l in assumptions)
+        assert len(eng.heap) <= 2 * eng.num_vars
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(signed(n, 2), max_size=2 * n) if n > 1 else st.just([]),
+    st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))))
+def test_enumeration_of_2cnf_matches_brute_force(drawn):
+    n, clause_list, proj = drawn
+    f = CnfFormula(n)
+    f.add_clauses(clause_list)
+    expect = {tuple(v if bits >> (v - 1) & 1 else -v for v in sorted(proj))
+              for bits in satisfying_masks(f)}
+    rows = enumerate_models_projected(f, proj)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == expect
+
+
+def test_binary_reasons_lead_with_the_implied_literal():
+    # _analyze skips the first literal of each reason as the one implied,
+    # so [-4, 3] must read [3, -4] once it has implied 3
+    f = CnfFormula(5)
+    f.add_clauses([[-4, 3], [5, -4], [2, -3], [1, 2, 4]])
+    eng = CdclSolver(f)
+    eng.trail_lim.append(0)
+    eng._enqueue(4, None)
+    assert eng._propagate() is None
+    assert eng.trail == [4, 3, 5, 2]
+    assert eng.clauses[eng.reason[3]] == [3, -4]
+    for lit in eng.trail[1:]:
+        assert eng.clauses[eng.reason[abs(lit)]][0] == lit
 
 
 # ---- projected enumeration ---------------------------------------------------
