@@ -18,25 +18,24 @@ cardinality totalizer's outputs between the two copies can couple otherwise
 independent models through those outputs and turn satisfiable queries
 unsatisfiable, which would be unsound here.
 
-Witness sources.  The models of F projected on x/y are exactly the
-failure sets S with |S| <= k, each as (x = S, y = N[S]), so a SAT answer
-is two failure sets (F1, F2) that agree on C, z true for F1: the witness
-`query` returns.  Three sources are asked in a fixed order; the first
-that answers names itself in the answer's `layer`:
+Two regimes.  The models of F projected on x/y are exactly the failure
+sets S with |S| <= k, each as (x = S, y = N[S]), so a SAT answer is two
+failure sets (F1, F2) that agree on C, z true for F1: the witness `query`
+returns.  `query` tests k once, and the answer's `layer` names the source
+that gave it:
 
-1. "forced" (k > 2 only): target x_v, where some A with v not in A and
-   |A| <= k - 1 dominates N(v).  (A + v, A) differ on x_v, on y_v iff v
-   is outside N[A], and nowhere else, so they are a witness (conflicts 0)
-   unless y_v is in C and v outside N[A].  Such an A exists exactly when v
-   is in every valid placement.
-2. "scan": a pool of every failure set of size at most min(k, 2), built
-   on the first query; each entry is its projected model as a bitmask
-   with bit z for variable z.  Keyed by their bits on C, the first key
-   seen with both values of z's bit is a witness (conflicts 0).  When
-   k <= 2 the pool holds every failure set, so a scan with no witness
-   proves definability: UNSAT, and the conflict budget never applies.
-3. "engine" (k > 2 only): the query above, on an engine built on the
-   first call; the two copies' x bits give the witness of a SAT model.
+- k <= 2, "scan": a pool of every failure set, built on the first query;
+  each entry is its projected model as a bitmask with bit z for variable
+  z.  Keyed by their bits on C, the first key seen with both values of
+  z's bit is a witness; a scan with no witness proves definability.
+  Either way conflicts are 0 and the conflict budget never applies.
+- k > 2, "forced" first: target x_v, where some A with v not in A and
+  |A| <= k - 1 dominates N(v).  (A + v, A) differ on x_v, on y_v iff v
+  is outside N[A], and nowhere else, so they are a witness (conflicts 0)
+  unless y_v is in C and v outside N[A].  Such an A exists exactly when v
+  is in every valid placement.  Every other query goes to the "engine":
+  the query above, on an engine built on the first call; the two copies'
+  x bits give the witness of a SAT model.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .oracle import closed_masks, mask_to_set
 from .satcore import CnfFormula, SolveStatus, engine_factory
 
 Witness = tuple[frozenset[int], frozenset[int]]
-LAYERS = ("forced", "scan", "engine")  # the witness sources, in the order they run
+LAYERS = ("forced", "scan", "engine")  # the witness sources
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,8 @@ class QueryAnswer:
 class DefinabilityContext:
     """One shared incremental solver over the doubled formula.
 
-    engine names the `satcore.ENGINES` entry that answers the queries the
-    forced rule and the scan leave open.  It is checked here but built on
+    engine names the `satcore.ENGINES` entry that answers the k > 2
+    queries the forced rule leaves open.  It is checked here but built on
     the first such query, so at k <= 2 no engine is ever built.
     """
 
@@ -121,19 +120,20 @@ class DefinabilityContext:
             raise ValueError(f"defining variables {bad} are not projected")
         if budget is not None and budget < 1:  # checked even if no engine call
             raise ValueError("budget must be >= 1")
+        if self._inst.k <= 2:
+            return self._scan(defining, target)
         return (self._forced(defining, target)
-                or self._scan(defining, target)
                 or self._solve(defining, target, budget))
 
     def _forced(self, defining: set[int], target: int) -> QueryAnswer | None:
-        """Target x_v of a graph-forced node v, at k > 2.
+        """Target x_v of a graph-forced node v.
 
         A set A with v not in A, |A| <= k - 1 and N(v) within N[A] makes
         (A + v, A) differ on x_v, on y_v iff v is outside N[A], and nowhere
         else.  It is a witness unless y_v is in `defining` and v outside N[A].
         """
         v = target - 1  # x_v = v + 1
-        if self._inst.k <= 2 or v >= self._inst.graph.n:
+        if v >= self._inst.graph.n:
             return None
         a = self._dominator(v)
         if a is None or (self._inst.y[v] in defining
@@ -171,12 +171,9 @@ class DefinabilityContext:
 
         return extend(0, 0, self._inst.k - 1)
 
-    def _scan(self, defining: set[int], target: int) -> QueryAnswer | None:
-        """Two pool entries equal on `defining`, unequal on target.
-
-        A miss is UNSAT when the pool holds every failure set (k <= 2) and
-        undecided otherwise.
-        """
+    def _scan(self, defining: set[int], target: int) -> QueryAnswer:
+        """Two pool entries equal on `defining`, unequal on target, or
+        UNSAT if there are none: the pool holds every failure set."""
         if self._pool is None:
             self._pool = self._failure_set_pool()
         dmask = sum(map(lshift, repeat(1), defining))
@@ -191,9 +188,7 @@ class DefinabilityContext:
                 return QueryAnswer(target, SolveStatus.SAT,
                                    (mask_to_set((first >> 1) & xmask),
                                     mask_to_set((code >> 1) & xmask)), 0, "scan")
-        if self._inst.k <= 2:
-            return QueryAnswer(target, SolveStatus.UNSAT, None, 0, "scan")
-        return None
+        return QueryAnswer(target, SolveStatus.UNSAT, None, 0, "scan")
 
     def _solve(self, defining: set[int], target: int,
                budget: int | None) -> QueryAnswer:
@@ -213,10 +208,10 @@ class DefinabilityContext:
                            "engine")
 
     def _failure_set_pool(self) -> list[int]:
-        """Each failure set S, |S| <= min(k, 2), as a mask whose bit z is z's value."""
+        """Each failure set S, |S| <= k <= 2, as a mask whose bit z is z's value."""
         g = self._inst.graph
         singles = [2 << v | m << (g.n + 1) for v, m in enumerate(closed_masks(g))]
         pool = [0] + singles
-        if self._inst.k >= 2:
+        if self._inst.k == 2:
             pool += [a | b for i, a in enumerate(singles) for b in singles[i + 1:]]
         return pool

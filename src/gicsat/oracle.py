@@ -65,12 +65,10 @@ def failure_set_count(n: int, k: int) -> int:
 def mask_to_set(mask: int) -> frozenset[int]:
     """The nodes of a node bitmask."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return frozenset(out)
 
 

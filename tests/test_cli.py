@@ -249,6 +249,7 @@ def test_solve_deterministic_output(tmp_path, capsys):
         assert sum(layers.values()) == record["queries"]
         if k > 2:
             assert layers["forced"] > 0 and layers["engine"] > 0
+            assert layers["scan"] == 0
         else:
             assert layers == {"engine": 0, "forced": 0,
                               "scan": record["queries"]}

@@ -320,8 +320,8 @@ def projection(g, failed):
 # so the forced source answers even though y_1 is in the defining set
 PATH3 = encode_instance(build_graph(3, [(0, 1), (1, 2)]), 3)
 # path 0-1-2-3-4 at k=3: y_2 given every other group differs only between
-# {0, 2, 4} and {0, 4}; no forced rule covers a y target and the pool holds
-# no set of size 3, so the engine finds the witness and decodes it
+# {0, 2, 4} and {0, 4}; no forced rule covers a y target, so the engine
+# finds the witness and decodes it
 PATH5 = encode_instance(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3)
 
 
@@ -347,8 +347,8 @@ def check_witness(inst, defining, answer):
 @example((PATH5, set(PATH5.z_vars) - set(PATH5.group_of(2))))
 def test_query_matches_engine_on_base(query):
     # compare every answer with a plain engine call on the same base formula
-    # and check each SAT witness against the graph: at k <= 2 it comes from
-    # the scan, at k > 2 also from the forced rule or the engine's model
+    # and check each SAT witness against the graph: at k <= 2 every answer
+    # comes from the scan, at k > 2 from the forced rule or the engine
     inst, defining = query
     ctx = DefinabilityContext(inst)
     hat, ind = documented_layout(inst)
@@ -356,6 +356,7 @@ def test_query_matches_engine_on_base(query):
         if target in defining:
             continue
         got = ctx.query(defining, target)
+        assert (got.layer == "scan") == (inst.k <= 2)
         assumed = [ind[c] for c in defining]
         want = CdclSolver(ctx.base).solve(assumed + [target, -hat[target]])
         assert got.status is want.status
