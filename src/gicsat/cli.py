@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
     sol = sub.add_parser("solve", help="compute a sensor placement")
     common(sol)
     sol.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET,
-                     help="conflict budget per definability query")
+                     help="conflict budget of each definability query that "
+                          "the graph search leaves to the solver")
     sol.add_argument("--order", default="input",
                      help="group order: input, deg-desc, deg-asc, random, "
                           "or an explicit comma-separated label list")
@@ -244,6 +245,7 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
         "queries": result.total_queries,
         "queries_by_layer": {layer: layers[layer] for layer in LAYERS},
         "conflicts": result.total_conflicts,
+        "search_nodes": result.total_search_nodes,
         "budget_exhaustions": result.budget_exhaustions,
     }
     if timing:

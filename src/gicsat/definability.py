@@ -1,46 +1,34 @@
-"""Single-variable definability queries against two linked formula copies.
+"""Single-variable definability queries, decided on the graph first.
 
-The base formula has 2t + 2n variables.  It conjoins the instance formula
-F, whose t variables start with the projected ones z = 1..2n (x_v = v + 1,
-y_v = n + v + 1), with a copy F' that renames each variable a, auxiliaries
-included, to a' = a + t, and with an indicator e_z = 2t + z per projected
-variable z, whose assumption forces z and z' equal.  The context computes
-these indices; it keeps no map of them:
+The models of the instance formula F projected on x/y are the failure sets
+S with |S| <= k, each as (x = S, y = N[S]).  With Dx and Dy the nodes whose
+x and y variables are in the defining set D, a target is not defined by D
+exactly when a witness exists: failure sets F1, F2, |Fi| <= k, that agree
+on D (F1 and Dx = F2 and Dx, N[F1] and Dy = N[F2] and Dy), the target true
+for F1 and false for F2.  `query` searches pairs of node sets for one:
 
-    base = F  and  F'  and  AND_z (e_z -> (z <-> z')).
+- start, for x_v: ({v}, {}), and v may never join F2; for y_v: one start
+  ({w}, {}) per w in N[v] outside Dx, and no node of N[v] may join F2;
+- step: take the lowest u in Dy that only one side covers; with none, the
+  pair is the witness.  Say F2 lacks u: each w in N[u] that may join F2
+  joins it alone (if w is in F1 or outside Dx) or joins both sides (if w
+  is outside F1); the roles swap when F1 lacks u.  No side passes k.
 
-Asking whether a candidate set C defines a target variable z is then one
-incremental call: assume {e_c : c in C} plus z and -z'.  UNSAT means every
-pair of models agreeing on C agrees on z; SAT hands back a witness pair.
-
-The auxiliary variables are deliberately renamed as well: sharing the
-cardinality totalizer's outputs between the two copies can couple otherwise
-independent models through those outputs and turn satisfiable queries
-unsatisfiable, which would be unsound here.
-
-Two regimes.  The models of F projected on x/y are exactly the failure
-sets S with |S| <= k, each as (x = S, y = N[S]), so a SAT answer is two
-failure sets (F1, F2) that agree on C, z true for F1: the witness `query`
-returns.  `query` tests k once, and the answer's `layer` names the source
-that gave it:
-
-- k <= 2, "scan": a pool of every failure set, built on the first query;
-  each entry is its projected model as a bitmask with bit z for variable
-  z.  Keyed by their bits on C, the first key seen with both values of
-  z's bit is a witness; a scan with no witness proves definability.
-  Either way conflicts are 0 and the conflict budget never applies.
-- k > 2, "forced" first: target x_v, where some A with v not in A and
-  |A| <= k - 1 dominates N(v).  (A + v, A) differ on x_v, on y_v iff v
-  is outside N[A], and nowhere else, so they are a witness (conflicts 0)
-  unless y_v is in C and v outside N[A].  Such an A exists exactly when v
-  is in every valid placement.  Every other query goes to the "engine":
-  the query above, on an engine built on the first call; the two copies'
-  x bits give the witness of a SAT model.
+Any witness containing the pair holds some w in N[u] on the lacking side,
+and one branch adds exactly that w, so a failed search proves definability.
+Such answers have `layer` "graph".  A search that would visit more than
+SEARCH_NODES pairs falls through to the "engine", built on the first such
+query over the two-copy base formula: F, a copy F' that renames every
+variable a (auxiliaries too, lest shared totalizer outputs couple the
+copies) to a + t, t = F's variable count, and per projected variable z an
+indicator e_z = 2t + z with e_z -> (z <-> z').  The engine assumes
+{e_c : c in D}, z and -z'; a SAT model's two x copies give the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import lshift
 from typing import Iterable
@@ -50,20 +38,22 @@ from .oracle import closed_masks, mask_to_set
 from .satcore import CnfFormula, SolveStatus, engine_factory
 
 Witness = tuple[frozenset[int], frozenset[int]]
-LAYERS = ("forced", "scan", "engine")  # the witness sources
+LAYERS = ("graph", "engine")  # the witness sources
+SEARCH_NODES = 1_000_000  # pairs one graph search may visit; 0: engine only
 
 
 @dataclass(frozen=True)
 class QueryAnswer:
     """One definability answer about target var; witness (F1, F2) iff SAT.
 
-    layer names the source that gave the answer, one of LAYERS.
+    layer, one of LAYERS, gave the answer; search_nodes counts search pairs.
     """
 
     var: int
     status: SolveStatus
     witness: Witness | None
     conflicts_used: int
+    search_nodes: int
     layer: str
 
     def __post_init__(self):
@@ -71,17 +61,34 @@ class QueryAnswer:
         assert self.layer in LAYERS
 
 
-class DefinabilityContext:
-    """One shared incremental solver over the doubled formula.
+class _OutOfNodes(Exception):
+    """The graph search visited more than SEARCH_NODES pairs."""
 
-    engine names the `satcore.ENGINES` entry that answers the k > 2
-    queries the forced rule leaves open.  It is checked here but built on
-    the first such query, so at k <= 2 no engine is ever built.
+
+class DefinabilityContext:
+    """The graph search, and one shared incremental engine behind it.
+
+    engine names the `satcore.ENGINES` entry for the search's fall-throughs,
+    checked here and built on the first one.  The support run_gismo passes
+    is kept as a node mask that `drop(v)` shrinks; a defining set equal to
+    it minus the target's group is read from the mask, any other converted.
     """
 
     def __init__(self, inst: EncodedInstance, engine: str = "bundled"):
-        f = inst.formula
-        shift, nz = f.num_vars, 2 * inst.graph.n
+        g = inst.graph
+        self._make_engine = engine_factory(engine)
+        self._engine = None
+        self._inst = inst
+        self._closed = closed_masks(g)
+        self._nbrs = [sorted((u, *g.adjacency[u])) for u in range(g.n)]
+        self._support = set(inst.z_vars)
+        self._kept = (1 << g.n) - 1  # the nodes whose group is in _support
+
+    @cached_property
+    def base(self) -> CnfFormula:
+        """The two-copy formula the engine answers on."""
+        f = self._inst.formula
+        shift, nz = f.num_vars, 2 * self._inst.graph.n
         base = CnfFormula(2 * shift + nz)
         # F's clauses are already normalised, so they are copied, not re-added
         clauses = base.clauses
@@ -92,13 +99,12 @@ class DefinabilityContext:
             e = 2 * shift + z
             clauses.append([-e, -z, z + shift])
             clauses.append([-e, z, -z - shift])
+        return base
 
-        self.base = base
-        self._make_engine = engine_factory(engine)
-        self._engine = None
-        self._inst = inst
-        self._pool: list[int] | None = None
-        self._closed: list[int] | None = None
+    def drop(self, v: int) -> None:
+        """Node v's group has left the support."""
+        self._support.difference_update(self._inst.group_of(v))
+        self._kept &= ~(1 << v)
 
     def query(self, defining: Iterable[int], target: int,
               budget: int | None = None) -> QueryAnswer:
@@ -106,92 +112,87 @@ class DefinabilityContext:
 
         UNSAT: defined.  SAT: the witness holds two failure sets whose
         projected models agree on `defining`, target true for the first and
-        false for the second.  BUDGET_EXHAUSTED: undetermined within the
-        conflict budget.
+        false for the second.  BUDGET_EXHAUSTED: the graph search was too
+        large and the engine ran out of its conflict budget.
         """
         defining = set(defining)
-        nz = 2 * self._inst.graph.n
-        if not 1 <= target <= nz:
+        n = self._inst.graph.n
+        if not 1 <= target <= 2 * n:
             raise ValueError(f"target variable {target} is not a projected variable")
         if target in defining:
             raise ValueError("target variable must not be in the defining set")
-        if defining and (min(defining) < 1 or max(defining) > nz):
-            bad = sorted(z for z in defining if not 1 <= z <= nz)
+        if defining and (min(defining) < 1 or max(defining) > 2 * n):
+            bad = sorted(z for z in defining if not 1 <= z <= 2 * n)
             raise ValueError(f"defining variables {bad} are not projected")
         if budget is not None and budget < 1:  # checked even if no engine call
             raise ValueError("budget must be >= 1")
-        if self._inst.k <= 2:
-            return self._scan(defining, target)
-        return (self._forced(defining, target)
-                or self._solve(defining, target, budget))
+        v = (target - 1) % n
+        partner = target + n if target <= n else target - n
+        support = self._support
+        if (target in support and partner in support and partner not in defining
+                and len(defining) == len(support) - 2 and defining <= support):
+            dx = dy = self._kept & ~(1 << v)
+        else:  # bit z for variable z
+            bits = sum(map(lshift, repeat(1), defining))
+            dx, dy = bits >> 1 & (1 << n) - 1, bits >> n + 1
+        nodes = [0]
+        try:
+            found = self._search(dx, dy, target, nodes)
+        except _OutOfNodes:
+            return self._solve(defining, target, budget, nodes[0])
+        if found is not None:
+            found = (mask_to_set(found[0]), mask_to_set(found[1]))
+        return QueryAnswer(target, SolveStatus.UNSAT if found is None
+                           else SolveStatus.SAT, found, 0, nodes[0], "graph")
 
-    def _forced(self, defining: set[int], target: int) -> QueryAnswer | None:
-        """Target x_v of a graph-forced node v.
+    def _search(self, dx: int, dy: int, target: int,
+                nodes: list[int]) -> tuple[int, int] | None:
+        """The witness (F1, F2) as node masks, or None if there is none;
+        nodes[0] counts the pairs visited, _OutOfNodes past SEARCH_NODES."""
+        n, k = self._inst.graph.n, self._inst.k
+        closed, nbrs = self._closed, self._nbrs
+        limit = SEARCH_NODES
+        if limit < 1:
+            raise _OutOfNodes
+        v = (target - 1) % n
+        if target <= n:  # x_v
+            starts, barred = [v], 1 << v
+        else:  # y_v
+            starts, barred = [w for w in nbrs[v] if not dx >> w & 1], closed[v]
 
-        A set A with v not in A, |A| <= k - 1 and N(v) within N[A] makes
-        (A + v, A) differ on x_v, on y_v iff v is outside N[A], and nowhere
-        else.  It is a witness unless y_v is in `defining` and v outside N[A].
-        """
-        v = target - 1  # x_v = v + 1
-        if v >= self._inst.graph.n:
-            return None
-        a = self._dominator(v)
-        if a is None or (self._inst.y[v] in defining
-                         and not a & self._closed[v]):
-            return None
-        return QueryAnswer(target, SolveStatus.SAT,
-                           (mask_to_set(a | 1 << v), mask_to_set(a)), 0, "forced")
-
-    def _dominator(self, v: int) -> int | None:
-        """The first A found (a node mask) with v not in A, |A| <= k - 1 and
-        N(v) within N[A], or None if there is none.
-
-        The search branches on the lowest neighbour u of v that A leaves
-        uncovered, over w in N[u] - v, so it visits O(deg^(k-1)) sets.
-        """
-        g = self._inst.graph
-        if self._closed is None:
-            self._closed = closed_masks(g)
-        closed = self._closed
-        nv = closed[v] & ~(1 << v)
-
-        def extend(a: int, covered: int, depth: int) -> int | None:
-            uncovered = nv & ~covered
-            if not uncovered:
-                return a
-            if depth == 0:
+        def step(f1, f2, n1, n2, c1, c2):
+            # f: the side's nodes, n: their number, c: N[f], all as masks
+            if nodes[0] == limit:
+                raise _OutOfNodes
+            nodes[0] += 1
+            diff = (c1 ^ c2) & dy
+            if not diff:
+                return f1, f2
+            u = (diff & -diff).bit_length() - 1
+            f2_lacks = c1 >> u & 1
+            if (n2 if f2_lacks else n1) == k:
                 return None
-            u = (uncovered & -uncovered).bit_length() - 1
-            for w in sorted((u, *g.adjacency[u])):
-                if w != v:
-                    found = extend(a | 1 << w, covered | closed[w], depth - 1)
-                    if found is not None:
-                        return found
+            other, bar = (f1, barred) if f2_lacks else (f2, 0)
+            for w in nbrs[u]:
+                bit, cw = 1 << w, closed[w]
+                if not bar & bit and (other & bit or not dx & bit) and (
+                        found := step(f1, f2 | bit, n1, n2 + 1, c1, c2 | cw)
+                        if f2_lacks else
+                        step(f1 | bit, f2, n1 + 1, n2, c1 | cw, c2)):
+                    return found  # w joined the lacking side alone
+                if not (other | barred) & bit and n1 < k and n2 < k and (
+                        found := step(f1 | bit, f2 | bit, n1 + 1, n2 + 1,
+                                      c1 | cw, c2 | cw)):
+                    return found  # w joined both sides
             return None
 
-        return extend(0, 0, self._inst.k - 1)
+        for w in starts:
+            if found := step(1 << w, 0, 1, 0, closed[w], 0):
+                return found
+        return None
 
-    def _scan(self, defining: set[int], target: int) -> QueryAnswer:
-        """Two pool entries equal on `defining`, unequal on target, or
-        UNSAT if there are none: the pool holds every failure set."""
-        if self._pool is None:
-            self._pool = self._failure_set_pool()
-        dmask = sum(map(lshift, repeat(1), defining))
-        tbit = 1 << target
-        seen: dict[int, int] = {}
-        for code in self._pool:
-            first = seen.setdefault(code & dmask, code)
-            if (first ^ code) & tbit:
-                if code & tbit:
-                    first, code = code, first
-                xmask = (1 << self._inst.graph.n) - 1
-                return QueryAnswer(target, SolveStatus.SAT,
-                                   (mask_to_set((first >> 1) & xmask),
-                                    mask_to_set((code >> 1) & xmask)), 0, "scan")
-        return QueryAnswer(target, SolveStatus.UNSAT, None, 0, "scan")
-
-    def _solve(self, defining: set[int], target: int,
-               budget: int | None) -> QueryAnswer:
+    def _solve(self, defining: set[int], target: int, budget: int | None,
+               search_nodes: int) -> QueryAnswer:
         """One engine call on the base, built on the first call."""
         shift = self._inst.formula.num_vars
         assumptions = [2 * shift + z for z in sorted(defining)]
@@ -205,13 +206,4 @@ class DefinabilityContext:
             witness = (frozenset(v for v, z in enumerate(x) if m[z]),
                        frozenset(v for v, z in enumerate(x) if m[z + shift]))
         return QueryAnswer(target, out.status, witness, out.conflicts_used,
-                           "engine")
-
-    def _failure_set_pool(self) -> list[int]:
-        """Each failure set S, |S| <= k <= 2, as a mask whose bit z is z's value."""
-        g = self._inst.graph
-        singles = [2 << v | m << (g.n + 1) for v, m in enumerate(closed_masks(g))]
-        pool = [0] + singles
-        if self._inst.k == 2:
-            pool += [a | b for i, a in enumerate(singles) for b in singles[i + 1:]]
-        return pool
+                           search_nodes, "engine")

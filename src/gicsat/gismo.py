@@ -2,15 +2,16 @@
 
 Starting from all groups, each node's group is tentatively removed; its two
 variables are tested for definability from the support, the groups not
-dropped so far (not yet processed groups plus groups already kept).  At
-k > 2 x is probed first, since a graph-forced node answers its own x query
-without the engine; at k <= 2 y goes first, which takes fewer scans.  The
-probe order changes how many queries run, never which groups are kept.  A
-group stays selected as soon as one of its variables is not provably
-defined -- a satisfiable query or an exhausted conflict budget both keep
-the group, so budget exhaustion errs on the safe side and the output is a
-grouped independent support regardless.  The selected nodes are exactly
-the sensor placement.
+dropped so far (not yet processed groups plus groups already kept).  x is
+probed before y at every k, which visits fewer graph-search pairs on the
+benchmark graphs; the probe order changes how many queries run, never
+which groups are kept.  A group that leaves the support is reported to the
+context through `drop`, so the context reads the next defining sets from a
+kept mask.  A group stays selected as soon as one of its variables is not
+provably defined -- a satisfiable query or an exhausted conflict budget
+both keep the group, so budget exhaustion errs on the safe side and the
+output is a grouped independent support regardless.  The selected nodes
+are exactly the sensor placement.
 
 A group kept on a SAT answer logs its witness, two failure sets whose
 signatures agree on the support minus the group; the support only shrinks,
@@ -36,9 +37,9 @@ class GismoConfig:
 
     order is one of ORDER_KEYWORDS or an explicit node-index permutation;
     seed is required by order="random", so that the config fixes the run,
-    and ignored otherwise.  budget is the per-query conflict
-    allowance.  The engine is chosen by the DefinabilityContext passed to
-    run_gismo.
+    and ignored otherwise.  budget is the conflict allowance of each query
+    that the graph search leaves to the engine.  The engine is chosen by
+    the DefinabilityContext passed to run_gismo.
     """
 
     budget: int = 5000
@@ -72,6 +73,7 @@ class GisResult:
     budget_exhaustions: int
     total_queries: int
     total_conflicts: int
+    total_search_nodes: int
 
 
 def group_order(inst: EncodedInstance, cfg: GismoConfig) -> list[int]:
@@ -105,13 +107,14 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
         x_v, y_v = inst.group_of(v)
         defining = support.difference((x_v, y_v))
         tested: list[QueryAnswer] = []
-        for z in (x_v, y_v) if inst.k > 2 else (y_v, x_v):
+        for z in (x_v, y_v):
             tested.append(ctx.query(defining, z, cfg.budget))
             if tested[-1].status is not SolveStatus.UNSAT:
                 break  # not provably defined: the whole group stays
         kept = tested[-1].status is not SolveStatus.UNSAT
         if not kept:
             support.difference_update((x_v, y_v))
+            ctx.drop(v)
         log.append(GroupLog(node=v, tested=tuple(tested), kept=kept))
     answers = [a for e in log for a in e.tested]
     return GisResult(
@@ -120,7 +123,8 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
         budget_exhaustions=sum(a.status is SolveStatus.BUDGET_EXHAUSTED
                                for a in answers),
         total_queries=len(answers),
-        total_conflicts=sum(a.conflicts_used for a in answers))
+        total_conflicts=sum(a.conflicts_used for a in answers),
+        total_search_nodes=sum(a.search_nodes for a in answers))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import pytest
 
+from gicsat import definability
 from gicsat.definability import DefinabilityContext
 
 
@@ -22,3 +23,9 @@ class FreshContext(DefinabilityContext):
 @pytest.fixture
 def fresh_context():
     return FreshContext
+
+
+@pytest.fixture
+def engine_only(monkeypatch):
+    """With a graph-search budget of 0, every query goes to the engine."""
+    monkeypatch.setattr(definability, "SEARCH_NODES", 0)

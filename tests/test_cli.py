@@ -234,7 +234,7 @@ def test_solve_time_limit_off_the_main_thread_is_usage_error(capsys):
 
 
 def test_solve_deterministic_output(tmp_path, capsys):
-    # at k=4 both the forced rule and the engine answer queries
+    # the graph search answers every query, at k=2 and at k=4
     for graph, k in ((FIG1, 2), (GNP30, 4)):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -245,14 +245,10 @@ def test_solve_deterministic_output(tmp_path, capsys):
         assert a.read_bytes() == b.read_bytes()
         record = json.loads(a.read_text())
         layers = record["queries_by_layer"]
-        assert list(layers) == ["engine", "forced", "scan"]  # keys sorted
-        assert sum(layers.values()) == record["queries"]
-        if k > 2:
-            assert layers["forced"] > 0 and layers["engine"] > 0
-            assert layers["scan"] == 0
-        else:
-            assert layers == {"engine": 0, "forced": 0,
-                              "scan": record["queries"]}
+        assert list(layers) == ["engine", "graph"]  # keys sorted
+        assert layers == {"engine": 0, "graph": record["queries"]}
+        assert record["conflicts"] == 0
+        assert record["search_nodes"] >= record["queries"]
 
 
 # ---- verify -----------------------------------------------------------------

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from itertools import combinations
 from pathlib import Path
 
+from gicsat import definability
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
-from gicsat.gismo import run_gismo
+from gicsat.gismo import GismoConfig, run_gismo
 from gicsat.graph import (build_graph, closed_neighborhood_set, parse_graph,
                           parse_graph_file)
 from gicsat.oracle import is_gics
@@ -148,7 +149,7 @@ def test_query_rejects_target_in_defining_set():
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_query_rejects_non_positive_budget(k):
-    # at k=1 the scan answers without the engine, which checks the budget
+    # the graph search answers without the engine, which checks the budget
     inst = encode_instance(fig1(), k)
     ctx = DefinabilityContext(inst)
     x_a, _ = xy(inst, "a")
@@ -158,7 +159,7 @@ def test_query_rejects_non_positive_budget(k):
 
 @pytest.mark.parametrize("k,sensors", [(1, "c d"), (2, "a c d e")])
 def test_no_engine_is_built_at_k_le_2(monkeypatch, k, sensors):
-    # the scan answers every query, so the engine is never built
+    # the graph search answers every query, so the engine is never built
     def boom(*a, **kw):
         raise AssertionError("k <= 2 must not construct a solver")
 
@@ -289,7 +290,7 @@ def test_fresh_context_matches_shared_context(fresh_context):
             fresh.query(defining, target).status
 
 
-# ---- the failure-set scan against the engine ------------------------------------
+# ---- the graph search against the engine ----------------------------------------
 
 @st.composite
 def drawn_queries(draw):
@@ -316,12 +317,10 @@ def projection(g, failed):
 
 
 # path 0-1-2 at k=3: with every other variable fixed, only {0, 1, 2} and
-# {0, 2} differ on x_1 alone; A = {0, 2} dominates N(1) and 1 is in N[A],
-# so the forced source answers even though y_1 is in the defining set
+# {0, 2} differ on x_1 alone, even though y_1 is in the defining set
 PATH3 = encode_instance(build_graph(3, [(0, 1), (1, 2)]), 3)
 # path 0-1-2-3-4 at k=3: y_2 given every other group differs only between
-# {0, 2, 4} and {0, 4}; no forced rule covers a y target, so the engine
-# finds the witness and decodes it
+# {0, 2, 4} and {0, 4}, a witness of three steps from the start ({1}, {})
 PATH5 = encode_instance(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3)
 
 
@@ -347,8 +346,8 @@ def check_witness(inst, defining, answer):
 @example((PATH5, set(PATH5.z_vars) - set(PATH5.group_of(2))))
 def test_query_matches_engine_on_base(query):
     # compare every answer with a plain engine call on the same base formula
-    # and check each SAT witness against the graph: at k <= 2 every answer
-    # comes from the scan, at k > 2 from the forced rule or the engine
+    # and check each SAT witness against the graph: the graph search gives
+    # every answer
     inst, defining = query
     ctx = DefinabilityContext(inst)
     hat, ind = documented_layout(inst)
@@ -356,7 +355,7 @@ def test_query_matches_engine_on_base(query):
         if target in defining:
             continue
         got = ctx.query(defining, target)
-        assert (got.layer == "scan") == (inst.k <= 2)
+        assert got.layer == "graph" and got.conflicts_used == 0
         assumed = [ind[c] for c in defining]
         want = CdclSolver(ctx.base).solve(assumed + [target, -hat[target]])
         assert got.status is want.status
@@ -365,14 +364,44 @@ def test_query_matches_engine_on_base(query):
             check_witness(inst, defining, got)
 
 
-def test_engine_witness_decoded_at_k3():
+def test_engine_witness_decoded_at_k3(engine_only):
     defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
     got = DefinabilityContext(PATH5).query(defining, PATH5.y[2])
     assert (got.status, got.layer) == (SolveStatus.SAT, "engine")
+    assert got.search_nodes == 0
     assert got.witness == (frozenset({0, 2, 4}), frozenset({0, 4}))
 
 
-# ---- the forced rule ---------------------------------------------------------
+def test_graph_witness_at_k3():
+    defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
+    got = DefinabilityContext(PATH5).query(defining, PATH5.y[2])
+    assert (got.status, got.layer, got.search_nodes) == (SolveStatus.SAT, "graph", 3)
+    assert got.witness == (frozenset({0, 2, 4}), frozenset({0, 4}))
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_search_past_its_node_budget_falls_through(monkeypatch, limit):
+    # the witness above takes 3 pairs: with room for fewer the engine answers
+    monkeypatch.setattr(definability, "SEARCH_NODES", limit)
+    ctx = DefinabilityContext(PATH5)
+    assert "base" not in vars(ctx)  # built on the first fall-through only
+    defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
+    got = ctx.query(defining, PATH5.y[2])
+    assert (got.status, got.layer, got.search_nodes) == (SolveStatus.SAT, "engine", limit)
+    check_witness(PATH5, defining, got)
+    assert "base" in vars(ctx)
+
+
+def test_base_is_built_on_first_read_only():
+    inst = encode_instance(fig1(), 3)
+    ctx = DefinabilityContext(inst)
+    assert "base" not in vars(ctx)
+    run_gismo(inst, ctx=ctx)
+    assert "base" not in vars(ctx) and ctx._engine is None
+    assert ctx.base is ctx.base and len(ctx.base.clauses) > 0
+
+
+# ---- graph-forced nodes, larger graphs and run_gismo's sequences ------------------
 
 @st.composite
 def drawn_graphs(draw):
@@ -397,43 +426,78 @@ def in_every_placement(g, k):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn_graphs())
 def test_forced_set_is_in_every_placement(inst):
-    # the rule's nodes are exactly those that no valid placement can drop;
-    # at k > 2 each of them answers its own x query from the graph
+    # v's x query on the full support minus v's group is SAT exactly when
+    # some A, |A| <= k - 1, covers N(v) - v: then (A + v, A) differ on x_v
+    # and y_v only, and v is in every valid placement
     ctx = DefinabilityContext(inst)
-    forced = {v for v in range(inst.graph.n) if ctx._dominator(v) is not None}
-    assert forced == in_every_placement(inst.graph, inst.k)
     support = set(inst.z_vars)
-    answered = {v for v in range(inst.graph.n)
-                if ctx.query(support - set(inst.group_of(v)),
-                             inst.x[v]).layer == "forced"}
-    assert answered == (forced if inst.k > 2 else set())
+    forced = set()
+    for v in range(inst.graph.n):
+        got = ctx.query(support - set(inst.group_of(v)), inst.x[v])
+        assert got.layer == "graph"
+        if got.status is SolveStatus.SAT:
+            forced.add(v)
+            f1, f2 = got.witness
+            assert f1 == f2 | {v}
+    assert forced == in_every_placement(inst.graph, inst.k)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn_graphs(), st.data())
-def test_forced_answers_match_engine(inst, data):
-    # every forced answer, on any defining set and on the same set with the
-    # group's y variable added, is SAT for the engine too, and its witness
-    # holds on the graph
+def test_graph_answers_match_engine(inst, data):
+    # the search against the engine on any defining set, and on the same set
+    # with the target's partner added: equal status on every target, and
+    # each SAT witness holds on the graph
     defining = data.draw(st.sets(st.sampled_from(inst.z_vars)))
     ctx = DefinabilityContext(inst)
     hat, ind = documented_layout(inst)
     engine = CdclSolver(ctx.base)
-    for v in range(inst.graph.n):
-        x_v = inst.x[v]
-        for d in (defining - {x_v}, (defining | {inst.y[v]}) - {x_v}):
-            got = ctx.query(d, x_v)
-            if got.layer != "forced":
-                continue
-            assert inst.k > 2 and got.conflicts_used == 0
-            want = engine.solve([ind[c] for c in d] + [x_v, -hat[x_v]])
-            assert got.status is want.status is SolveStatus.SAT
-            check_witness(inst, d, got)
+    n = inst.graph.n
+    for target in inst.z_vars:
+        partner = target + n if target <= n else target - n
+        for d in (defining - {target}, (defining | {partner}) - {target}):
+            got = ctx.query(d, target)
+            assert got.layer == "graph" and got.conflicts_used == 0
+            want = engine.solve([ind[c] for c in d] + [target, -hat[target]])
+            assert got.status is want.status
+            if got.status is SolveStatus.SAT:
+                check_witness(inst, d, got)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn_graphs(), st.data())
+def test_drop_replay_matches_full_conversion(inst, data):
+    # run_gismo's query sequence: x then y on the support minus the group,
+    # and a drop after two UNSAT answers.  The context told of each drop
+    # reads the defining set from its kept mask, the one never told converts
+    # it in full, and the engine decides each query on the base
+    order = data.draw(st.permutations(range(inst.graph.n)))
+    told, untold = DefinabilityContext(inst), DefinabilityContext(inst)
+    hat, ind = documented_layout(inst)
+    engine = CdclSolver(untold.base)
+    support = set(inst.z_vars)
+    answers = []
+    for v in order:
+        group = inst.group_of(v)
+        defining = support - set(group)
+        for z in group:
+            got = told.query(defining, z)
+            assert got == untold.query(defining, z)
+            want = engine.solve([ind[c] for c in defining] + [z, -hat[z]])
+            assert got.status is want.status
+            answers.append(got)
+            if got.status is SolveStatus.SAT:
+                break
+        else:
+            support -= set(group)
+            told.drop(v)
+    res = run_gismo(inst, GismoConfig(order=tuple(order)))
+    assert [a for e in res.per_group_log for a in e.tested] == answers
 
 
 @pytest.mark.parametrize("name", ["path20.edges", "grid5x5.edges"])
 def test_forced_graphs_build_no_engine_at_k3(monkeypatch, name):
-    # every node is kept, each on its own x query answered by the forced rule
+    # every node is kept, each on its own x query answered by the search
     def boom(*a, **kw):
         raise AssertionError("a forced graph must not construct a solver")
 
@@ -442,4 +506,4 @@ def test_forced_graphs_build_no_engine_at_k3(monkeypatch, name):
     res = run_gismo(inst)
     assert res.sensor_set == set(range(inst.graph.n))
     for entry in res.per_group_log:
-        assert [a.layer for a in entry.tested] == ["forced"]
+        assert [a.layer for a in entry.tested] == ["graph"]

@@ -39,7 +39,8 @@ def random_instance(rng, n_range=(2, 7), k_max=3):
 def fake_result(nodes):
     return GisResult(sensor_set=frozenset(nodes),
                      per_group_log=(), budget_exhaustions=0,
-                     total_queries=0, total_conflicts=0)
+                     total_queries=0, total_conflicts=0,
+                     total_search_nodes=0)
 
 
 # ---- the worked example --------------------------------------------------------
@@ -56,17 +57,16 @@ def test_fig1_worked_example_order():
 
 
 def test_fig1_worked_example_inner_break():
-    # groups e, d, b fail both probes; c needs two probes; a stops at the first
+    # groups e, d, b fail both probes; c and a stop at the first
     g = fig1()
     inst = encode_instance(g, 1)
     cfg = GismoConfig(order=order_by_labels(g, "edcba"))
     res = run_gismo(inst, cfg)
     by_label = {g.labels[e.node]: e for e in res.per_group_log}
     x_e, y_e = inst.group_of(g.index_of("e"))
-    assert [r.var for r in by_label["e"].tested] == [y_e, x_e]  # y first
+    assert [r.var for r in by_label["e"].tested] == [x_e, y_e]  # x first
     assert [r.status for r in by_label["e"].tested] == [SolveStatus.UNSAT] * 2
-    assert [r.status for r in by_label["c"].tested] == \
-        [SolveStatus.UNSAT, SolveStatus.SAT]
+    assert [r.status for r in by_label["c"].tested] == [SolveStatus.SAT]
     assert [r.status for r in by_label["a"].tested] == [SolveStatus.SAT]
     assert not by_label["e"].kept and by_label["c"].kept and by_label["a"].kept
 
@@ -262,7 +262,8 @@ def test_output_is_gis_and_gics_random():
             assert not is_gis_bruteforce(inst, res.sensor_set - {v}, models)
 
 
-def test_output_is_gis_even_with_tiny_budget():
+def test_output_is_gis_even_with_tiny_budget(engine_only):
+    # engine only: the graph search never exhausts, the engine's budget does
     rng = random.Random(71)
     saw_exhaustion = False
     for _ in range(40):
@@ -274,11 +275,12 @@ def test_output_is_gis_even_with_tiny_budget():
     assert saw_exhaustion, "budget=1 should exhaust on some query of this suite"
 
 
-def test_budget_monotonicity_empirical():
-    # 30 draws give 4 instances that exhaust at budget=1, each with its
-    # proviso holding; the floors below keep either branch from going vacuous
+def test_budget_monotonicity_empirical(engine_only):
+    # engine only, 30 draws give 25 instances that exhaust at budget=1: the
+    # proviso holds on 15 and fails on 10; the floors below keep each branch
+    # from going vacuous
     rng = random.Random(73)
-    exhausting = proviso_held = 0
+    exhausting = proviso_held = proviso_failed = 0
     for _ in range(30):
         inst = random_instance(rng, n_range=(4, 8), k_max=3)
         small = run_gismo(inst, GismoConfig(budget=1))
@@ -304,7 +306,31 @@ def test_budget_monotonicity_empirical():
         if proviso:
             proviso_held += 1
             assert len(large.sensor_set) <= len(small.sensor_set)
-    assert exhausting >= 3 and proviso_held >= 3
+        else:
+            # an exhausted probe would have been SAT: the group was kept
+            # either way, and the placement is still valid
+            proviso_failed += 1
+            assert is_gis_bruteforce(inst, small.sensor_set)
+    assert exhausting >= 3 and proviso_held >= 3 and proviso_failed >= 3
+
+
+def test_exhausted_probe_that_would_be_sat_keeps_a_valid_gis(engine_only):
+    # path 1-2-3 plus isolated node 0 at k=2: at budget=1 node 1's x probe
+    # exhausts although it is SAT given room
+    inst = encode_instance(build_graph(4, [(1, 2), (2, 3)]), 2)
+    small = run_gismo(inst, GismoConfig(budget=1))
+    entry = next(e for e in small.per_group_log if e.node == 1)
+    probe = entry.tested[-1]
+    assert entry.kept and probe.status is SolveStatus.BUDGET_EXHAUSTED
+    support = set(inst.z_vars)
+    for e in small.per_group_log[:small.per_group_log.index(entry)]:
+        if not e.kept:
+            support -= set(inst.group_of(e.node))
+    full = DefinabilityContext(inst).query(
+        support - set(inst.group_of(1)), probe.var, HUGE)
+    assert full.status is SolveStatus.SAT
+    assert is_gis_bruteforce(inst, small.sensor_set)
+    assert is_gics(inst.graph, small.sensor_set, inst.k)
 
 
 def test_determinism_same_config_same_result():

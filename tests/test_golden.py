@@ -3,18 +3,16 @@
 With no budget exhaustion the sensor set depends only on the graph, k and
 the processing order, never on how the definability queries are run, so a
 refactor of the query path must reproduce these sets exactly.  Labels are
-listed in string order.  At k <= 2 the failure-set scan answers every
-query, with no conflicts; on the k=3 and k=4 rows the graph-forced rule
-answers first and the engine takes every query it leaves open.
+listed in string order.  The graph search answers every query on these
+rows, with no conflicts, and an engine-only pass (search budget 0) must
+give the same sets.
 
-run_gismo probes each group's x variable first at k > 2, where a
-graph-forced node answers its own x query, and its y variable first at
-k <= 2.  The probe order changes which queries run, never which groups are
-kept, so a replica of the loop with the other order must give the same
-sets.  The engine's conflict count on each k >= 3 row is pinned too, per
-probe order: it changes only when the engine's search or the queries that
-reach it change, so a change that alters them updates these pins and says
-so in CHANGES.md.
+run_gismo probes each group's x variable before its y variable.  The probe
+order changes which queries run, never which groups are kept, so a replica
+of the loop with the other order must give the same sets.  The search's
+node count on each row is pinned too, per probe order: it changes only
+when the search or the queries it gets change, so a change that alters
+them updates these pins and says so in CHANGES.md.
 """
 
 from pathlib import Path
@@ -71,28 +69,54 @@ GOLDEN = {
     ("path20.edges", 4): "0 1 10 11 12 13 14 15 16 17 18 19 2 3 4 5 6 7 8 9",
 }
 
-# (graph file, k, probe order) -> total_conflicts of a k >= 3 row
-ENGINE_CONFLICTS = {
-    ("fig1.edges", 3, "x-first"): 0,
-    ("gnp30.edges", 3, "x-first"): 293,
-    ("gnp50.edges", 3, "x-first"): 566,
-    ("grid5x5.edges", 3, "x-first"): 0,
-    ("path20.edges", 3, "x-first"): 0,
-    ("fig1.edges", 3, "y-first"): 2,
-    ("gnp30.edges", 3, "y-first"): 424,
-    ("gnp50.edges", 3, "y-first"): 841,
-    ("grid5x5.edges", 3, "y-first"): 18,
-    ("path20.edges", 3, "y-first"): 2,
-    ("fig1.edges", 4, "x-first"): 0,
-    ("gnp30.edges", 4, "x-first"): 78,
-    ("gnp50.edges", 4, "x-first"): 296,
-    ("grid5x5.edges", 4, "x-first"): 0,
-    ("path20.edges", 4, "x-first"): 0,
-    ("fig1.edges", 4, "y-first"): 2,
-    ("gnp30.edges", 4, "y-first"): 257,
-    ("gnp50.edges", 4, "y-first"): 471,
-    ("grid5x5.edges", 4, "y-first"): 7,
-    ("path20.edges", 4, "y-first"): 2,
+# (graph file, k, probe order) -> total search nodes of the row
+GOLDEN_SEARCH_NODES = {
+    ("fig1.edges", 1, "x-first"): 15,
+    ("fig1.edges", 1, "y-first"): 15,
+    ("gnp30.edges", 1, "x-first"): 217,
+    ("gnp30.edges", 1, "y-first"): 197,
+    ("gnp50.edges", 1, "x-first"): 331,
+    ("gnp50.edges", 1, "y-first"): 284,
+    ("grid5x5.edges", 1, "x-first"): 105,
+    ("grid5x5.edges", 1, "y-first"): 85,
+    ("k2.edges", 1, "x-first"): 3,
+    ("k2.edges", 1, "y-first"): 3,
+    ("path20.edges", 1, "x-first"): 66,
+    ("path20.edges", 1, "y-first"): 58,
+    ("single.edges", 1, "x-first"): 1,
+    ("single.edges", 1, "y-first"): 1,
+    ("fig1.edges", 2, "x-first"): 20,
+    ("fig1.edges", 2, "y-first"): 21,
+    ("gnp30.edges", 2, "x-first"): 1370,
+    ("gnp30.edges", 2, "y-first"): 1547,
+    ("gnp50.edges", 2, "x-first"): 2424,
+    ("gnp50.edges", 2, "y-first"): 2939,
+    ("grid5x5.edges", 2, "x-first"): 818,
+    ("grid5x5.edges", 2, "y-first"): 1168,
+    ("k2.edges", 2, "x-first"): 4,
+    ("k2.edges", 2, "y-first"): 6,
+    ("path20.edges", 2, "x-first"): 170,
+    ("path20.edges", 2, "y-first"): 191,
+    ("fig1.edges", 3, "x-first"): 15,
+    ("fig1.edges", 3, "y-first"): 18,
+    ("gnp30.edges", 3, "x-first"): 3213,
+    ("gnp30.edges", 3, "y-first"): 5313,
+    ("gnp50.edges", 3, "x-first"): 9808,
+    ("gnp50.edges", 3, "y-first"): 16733,
+    ("grid5x5.edges", 3, "x-first"): 158,
+    ("grid5x5.edges", 3, "y-first"): 129,
+    ("path20.edges", 3, "x-first"): 58,
+    ("path20.edges", 3, "y-first"): 61,
+    ("fig1.edges", 4, "x-first"): 15,
+    ("fig1.edges", 4, "y-first"): 18,
+    ("gnp30.edges", 4, "x-first"): 3026,
+    ("gnp30.edges", 4, "y-first"): 4044,
+    ("gnp50.edges", 4, "x-first"): 6093,
+    ("gnp50.edges", 4, "y-first"): 11849,
+    ("grid5x5.edges", 4, "x-first"): 111,
+    ("grid5x5.edges", 4, "y-first"): 102,
+    ("path20.edges", 4, "x-first"): 58,
+    ("path20.edges", 4, "y-first"): 61,
 }
 
 
@@ -104,37 +128,36 @@ def test_golden_covers_every_data_graph():
         n = parse_graph_file(str(DATA / name)).n
         assert {k for gname, k in GOLDEN if gname == name} == \
             {1, 2, 3, 4} & set(range(1, n + 1))
-    assert {(name, k, probes) for name, k in GOLDEN if k >= 3
-            for probes in PROBE_ORDERS} == set(ENGINE_CONFLICTS)
+    assert {(name, k, probes) for name, k in GOLDEN
+            for probes in PROBE_ORDERS} == set(GOLDEN_SEARCH_NODES)
 
 
-def gismo_probes(k):
-    """The probe order run_gismo uses at k."""
-    return "x-first" if k > 2 else "y-first"
+GISMO_PROBES = "x-first"  # the probe order run_gismo uses at every k
 
 
 def replica_run(inst, probes):
     """run_gismo's loop over the input order with the given probe order.
 
-    Returns the sensor set and the engine conflicts; every answer must be
-    exact, as on every golden row.
+    Returns the sensor set and the search nodes; the graph search must
+    answer every query, as on every golden row.
     """
     ctx = DefinabilityContext(inst)
     support = set(inst.z_vars)
-    sensors, conflicts = set(), 0
+    sensors, nodes = set(), 0
     for v in range(inst.graph.n):
         group = inst.group_of(v)  # (x_v, y_v)
         for z in group if probes == "x-first" else group[::-1]:
             answer = ctx.query(support.difference(group), z,
                                GismoConfig().budget)
-            assert answer.status is not SolveStatus.BUDGET_EXHAUSTED
-            conflicts += answer.conflicts_used
+            assert answer.layer == "graph"
+            nodes += answer.search_nodes
             if answer.status is SolveStatus.SAT:
                 sensors.add(v)
                 break
         else:
             support.difference_update(group)
-    return sensors, conflicts
+            ctx.drop(v)
+    return sensors, nodes
 
 
 @pytest.mark.parametrize("probes", PROBE_ORDERS)
@@ -142,11 +165,20 @@ def replica_run(inst, probes):
 def test_golden_sensor_set(name, k, probes):
     g = parse_graph_file(str(DATA / name))
     inst = encode_instance(g, k)
-    if probes == gismo_probes(k):
+    if probes == GISMO_PROBES:
         res = run_gismo(inst, GismoConfig(order="input"))
-        assert res.budget_exhaustions == 0
-        sensors, conflicts = res.sensor_set, res.total_conflicts
+        assert res.budget_exhaustions == 0 and res.total_conflicts == 0
+        sensors, nodes = res.sensor_set, res.total_search_nodes
     else:
-        sensors, conflicts = replica_run(inst, probes)
+        sensors, nodes = replica_run(inst, probes)
     assert " ".join(sorted(g.labels[v] for v in sensors)) == GOLDEN[name, k]
-    assert conflicts == ENGINE_CONFLICTS.get((name, k, probes), 0)
+    assert nodes == GOLDEN_SEARCH_NODES[name, k, probes]
+
+
+@pytest.mark.parametrize("name,k", sorted(GOLDEN))
+def test_golden_sensor_set_engine_only(engine_only, name, k):
+    g = parse_graph_file(str(DATA / name))
+    res = run_gismo(encode_instance(g, k), GismoConfig(order="input"))
+    assert res.budget_exhaustions == 0 and res.total_search_nodes == 0
+    assert {a.layer for e in res.per_group_log for a in e.tested} == {"engine"}
+    assert " ".join(sorted(g.labels[v] for v in res.sensor_set)) == GOLDEN[name, k]

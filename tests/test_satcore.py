@@ -1,5 +1,7 @@
 import io
 import random
+import signal
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,39 @@ from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
                             SolveStatus, check_model, engine_factory,
                             enumerate_models_projected, read_dimacs,
                             write_dimacs)
+
+
+TEST_SECONDS = 30  # the slowest test here takes a few seconds
+
+
+class GuardTimeout(BaseException):
+    """Not an Exception, so hypothesis does not catch it and shrink, which
+    would re-run the looping example with no timer left."""
+
+
+@pytest.fixture(autouse=True)
+def time_guard():
+    """Fail a test that runs past TEST_SECONDS.
+
+    solve() has no conflict budget by default, so an engine fault that makes
+    the search loop would otherwise hang the suite.  The timer needs the
+    main thread; elsewhere the test runs unguarded.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise GuardTimeout(f"test ran past {TEST_SECONDS} s; is the search looping?")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    timer = signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        signal.setitimer(signal.ITIMER_REAL, *timer)
 
 
 # ---- independent brute-force oracles --------------------------------------
@@ -301,9 +336,10 @@ def test_reused_solver_matches_brute_force(n, data):
             assert budget is not None and out.conflicts_used == budget
 
 
-def test_heap_stays_bounded_through_gismo():
+def test_heap_stays_bounded_through_gismo(engine_only):
     # bumped variables re-pushed on backtrack leave stale entries behind;
-    # backtracking sheds them once there are more than two per variable
+    # backtracking sheds them once there are more than two per variable;
+    # engine only, so that every query of the run reaches it
     inst = encode_instance(parse_graph_file(str(DATA / "gnp30.edges")), 4)
     ctx = DefinabilityContext(inst)
     res = run_gismo(inst, GismoConfig(order="input"), ctx)
