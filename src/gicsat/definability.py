@@ -8,14 +8,23 @@ on D (F1 and Dx = F2 and Dx, N[F1] and Dy = N[F2] and Dy), the target true
 for F1 and false for F2.  `query` searches pairs of node sets for one:
 
 - start, for x_v: ({v}, {}), and v may never join F2; for y_v: one start
-  ({w}, {}) per w in N[v] outside Dx, and no node of N[v] may join F2;
-- step: take the lowest u in Dy that only one side covers; with none, the
-  pair is the witness.  Say F2 lacks u: each w in N[u] that may join F2
-  joins it alone (if w is in F1 or outside Dx) or joins both sides (if w
-  is outside F1); the roles swap when F1 lacks u.  No side passes k.
+  ({w}, {}) per w in N[v] outside Dx, no node of N[v] may join F2, and a
+  start w that failed may not join F1 in the later starts;
+- step: a side with k nodes that lacks any Dy node the other side covers
+  ends the branch.  Else take the lowest u in Dy that only one side
+  covers; with none, the pair is the witness.  Say F2 lacks u: each w in
+  N[u] that may join F2 gets one branch, joining F2 alone if w is in F1
+  or outside Dx, else both sides; once it fails, w may not join F2 in the
+  later branches.  The roles swap when F1 lacks u.  No side passes k.
 
-Any witness containing the pair holds some w in N[u] on the lacking side,
-and one branch adds exactly that w, so a failed search proves definability.
+Any witness containing the pair has a first node w of N[u] on the lacking
+side, and w's branch lies inside it: a witness that holds w in Dx on one
+side holds it on both.  No earlier sibling is on that side of the witness,
+so the bars hold for it, and a full side can never cover u.  The same goes
+for the first w of N[v] in F1 among the y_v starts.  So a failed search
+proves definability, and as only subtrees without a witness are cut, the
+depth-first search meets the same first witness as one that also tries
+every w of N[u] on both sides and bars nothing.
 Such answers have `layer` "graph".  A search that would visit more than
 SEARCH_NODES pairs falls through to the "engine", built on the first such
 query over the two-copy base formula: F, a copy F' that renames every
@@ -121,16 +130,17 @@ class DefinabilityContext:
             raise ValueError(f"target variable {target} is not a projected variable")
         if target in defining:
             raise ValueError("target variable must not be in the defining set")
-        if defining and (min(defining) < 1 or max(defining) > 2 * n):
+        support = self._support  # projected variables only
+        within = defining <= support
+        if not within and (min(defining) < 1 or max(defining) > 2 * n):
             bad = sorted(z for z in defining if not 1 <= z <= 2 * n)
             raise ValueError(f"defining variables {bad} are not projected")
         if budget is not None and budget < 1:  # checked even if no engine call
             raise ValueError("budget must be >= 1")
         v = (target - 1) % n
         partner = target + n if target <= n else target - n
-        support = self._support
-        if (target in support and partner in support and partner not in defining
-                and len(defining) == len(support) - 2 and defining <= support):
+        if (within and target in support and partner in support
+                and partner not in defining and len(defining) == len(support) - 2):
             dx = dy = self._kept & ~(1 << v)
         else:  # bit z for variable z
             bits = sum(map(lshift, repeat(1), defining))
@@ -154,41 +164,50 @@ class DefinabilityContext:
         limit = SEARCH_NODES
         if limit < 1:
             raise _OutOfNodes
-        v = (target - 1) % n
-        if target <= n:  # x_v
-            starts, barred = [v], 1 << v
-        else:  # y_v
-            starts, barred = [w for w in nbrs[v] if not dx >> w & 1], closed[v]
 
-        def step(f1, f2, n1, n2, c1, c2):
-            # f: the side's nodes, n: their number, c: N[f], all as masks
+        def step(f1, f2, n1, n2, c1, c2, b1, b2, swapped):
+            # f: the side's nodes, n: their number, c: N[f], b: the nodes
+            # barred from it, all as masks; swapped: side 2 is the true F1
             if nodes[0] == limit:
                 raise _OutOfNodes
             nodes[0] += 1
-            diff = (c1 ^ c2) & dy
+            only1, only2 = c1 & ~c2 & dy, c2 & ~c1 & dy
+            if n2 == k and only1 or n1 == k and only2:
+                return None  # a full side lacks a differing node
+            diff = only1 | only2
             if not diff:
-                return f1, f2
+                return (f2, f1) if swapped else (f1, f2)
             u = (diff & -diff).bit_length() - 1
-            f2_lacks = c1 >> u & 1
-            if (n2 if f2_lacks else n1) == k:
-                return None
-            other, bar = (f1, barred) if f2_lacks else (f2, 0)
+            if only2 >> u & 1:  # side 1 lacks u: swap so that side 2 does
+                f1, f2, n1, n2, c1, c2, b1, b2, swapped = (
+                    f2, f1, n2, n1, c2, c1, b2, b1, not swapped)
             for w in nbrs[u]:
                 bit, cw = 1 << w, closed[w]
-                if not bar & bit and (other & bit or not dx & bit) and (
-                        found := step(f1, f2 | bit, n1, n2 + 1, c1, c2 | cw)
-                        if f2_lacks else
-                        step(f1 | bit, f2, n1 + 1, n2, c1 | cw, c2)):
-                    return found  # w joined the lacking side alone
-                if not (other | barred) & bit and n1 < k and n2 < k and (
-                        found := step(f1 | bit, f2 | bit, n1 + 1, n2 + 1,
-                                      c1 | cw, c2 | cw)):
-                    return found  # w joined both sides
+                if b2 & bit:
+                    continue
+                if f1 & bit or not dx & bit:  # w joins side 2 alone
+                    found = step(f1, f2 | bit, n1, n2 + 1, c1, c2 | cw,
+                                 b1, b2, swapped)
+                elif n1 < k and not b1 & bit:  # w joins both sides
+                    found = step(f1 | bit, f2 | bit, n1 + 1, n2 + 1,
+                                 c1 | cw, c2 | cw, b1, b2, swapped)
+                else:
+                    continue
+                if found:
+                    return found
+                b2 |= bit  # that branch held every witness with w on side 2
             return None
 
-        for w in starts:
-            if found := step(1 << w, 0, 1, 0, closed[w], 0):
-                return found
+        v = (target - 1) % n
+        if target <= n:  # x_v
+            return step(1 << v, 0, 1, 0, closed[v], 0, 0, 1 << v, False)
+        barred = 0  # y_v: the failed starts, barred from F1
+        for w in nbrs[v]:
+            if not dx >> w & 1:
+                if found := step(1 << w, 0, 1, 0, closed[w], 0, barred,
+                                 closed[v], False):
+                    return found
+                barred |= 1 << w
         return None
 
     def _solve(self, defining: set[int], target: int, budget: int | None,

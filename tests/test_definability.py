@@ -14,7 +14,7 @@ from gicsat.encoder import encode_instance
 from gicsat.gismo import GismoConfig, run_gismo
 from gicsat.graph import (build_graph, closed_neighborhood_set, parse_graph,
                           parse_graph_file)
-from gicsat.oracle import is_gics
+from gicsat.oracle import closed_masks, is_gics, mask_to_set
 from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus,
                             enumerate_models_projected)
 
@@ -183,6 +183,11 @@ def test_query_rejects_non_projected_vars():
         ctx.query({aux}, xy(inst, "a")[0])
     with pytest.raises(ValueError):
         ctx.query(set(), aux)
+    # a set inside the kept support skips the range scan; the support plus
+    # one auxiliary variable must not
+    x_a, y_a = xy(inst, "a")
+    with pytest.raises(ValueError, match="not projected"):
+        ctx.query(set(inst.z_vars) - {x_a, y_a} | {aux}, x_a)
 
 
 # ---- semantics against the enumerated truth table -----------------------------
@@ -464,6 +469,92 @@ def test_graph_answers_match_engine(inst, data):
                 check_witness(inst, d, got)
 
 
+def unpruned_search(inst, defining, target):
+    """The search without sibling bars: each w in N[u] joins the lacking side
+    alone where it may, then both sides where it may; only v (for x_v) or
+    N[v] (for y_v) is barred, from F2.  Returns the witness as two node sets
+    or None, and the number of pairs visited."""
+    g, k = inst.graph, inst.k
+    n = g.n
+    closed = closed_masks(g)
+    nbrs = [sorted((u, *g.adjacency[u])) for u in range(n)]
+    bits = sum(1 << z for z in defining)
+    dx, dy = bits >> 1 & (1 << n) - 1, bits >> n + 1
+    v = (target - 1) % n
+    if target <= n:
+        starts, barred = [v], 1 << v
+    else:
+        starts, barred = [w for w in nbrs[v] if not dx >> w & 1], closed[v]
+    nodes = 0
+
+    def step(f1, f2, n1, n2, c1, c2):
+        nonlocal nodes
+        nodes += 1
+        diff = (c1 ^ c2) & dy
+        if not diff:
+            return f1, f2
+        u = (diff & -diff).bit_length() - 1
+        f2_lacks = c1 >> u & 1
+        if (n2 if f2_lacks else n1) == k:
+            return None
+        other, bar = (f1, barred) if f2_lacks else (f2, 0)
+        for w in nbrs[u]:
+            bit, cw = 1 << w, closed[w]
+            if not bar & bit and (other & bit or not dx & bit) and (
+                    found := step(f1, f2 | bit, n1, n2 + 1, c1, c2 | cw)
+                    if f2_lacks else
+                    step(f1 | bit, f2, n1 + 1, n2, c1 | cw, c2)):
+                return found
+            if not (other | barred) & bit and n1 < k and n2 < k and (
+                    found := step(f1 | bit, f2 | bit, n1 + 1, n2 + 1,
+                                  c1 | cw, c2 | cw)):
+                return found
+        return None
+
+    for w in starts:
+        if found := step(1 << w, 0, 1, 0, closed[w], 0):
+            return (mask_to_set(found[0]), mask_to_set(found[1])), nodes
+    return None, nodes
+
+
+@st.composite
+def drawn_graph_queries(draw):
+    """drawn_graphs with any defining set."""
+    inst = draw(drawn_graphs())
+    return inst, draw(st.sets(st.sampled_from(inst.z_vars)))
+
+
+# two k=2 queries on which barring a failed w from the other side instead
+# changes the witness (target x_5), or loses it (target x_9)
+BAR_SIDE_WITNESS = (encode_instance(build_graph(7, [
+    (0, 1), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (2, 3), (3, 5), (3, 6),
+    (4, 5), (5, 6)]), 2), {1, 2, 7, 8, 10, 11, 12, 13, 14})
+BAR_SIDE_STATUS = (encode_instance(build_graph(10, [
+    (0, 1), (0, 5), (0, 7), (0, 8), (1, 2), (1, 4), (1, 6), (1, 8), (2, 5),
+    (2, 6), (3, 6), (3, 9), (4, 5), (4, 6), (4, 9), (5, 6), (5, 8), (5, 9),
+    (6, 8)]), 2), {1, 2, 3, 4, 6, 9, 12, 13, 14, 16, 19, 20})
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn_graph_queries())
+@example(BAR_SIDE_WITNESS)
+@example(BAR_SIDE_STATUS)
+def test_pruning_keeps_every_answer_and_witness(query):
+    # the bars and the full-side test cut only subtrees without a witness,
+    # so the first witness in depth-first order is the same, in no more pairs
+    inst, defining = query
+    ctx = DefinabilityContext(inst)
+    for target in inst.z_vars:
+        if target in defining:
+            continue
+        got = ctx.query(defining, target)
+        witness, nodes = unpruned_search(inst, defining, target)
+        assert got.witness == witness
+        assert got.status is (SolveStatus.UNSAT if witness is None
+                              else SolveStatus.SAT)
+        assert got.search_nodes <= nodes
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn_graphs(), st.data())
 def test_drop_replay_matches_full_conversion(inst, data):
@@ -507,3 +598,17 @@ def test_forced_graphs_build_no_engine_at_k3(monkeypatch, name):
     assert res.sensor_set == set(range(inst.graph.n))
     for entry in res.per_group_log:
         assert [a.layer for a in entry.tested] == ["graph"]
+
+
+def test_dense_graph_at_k3():
+    # G(60, 600) at k=3: the unpruned search visited 1,527,901 pairs here
+    rng = random.Random(1)
+    edges = {}
+    while len(edges) < 600:
+        u, v = rng.randrange(60), rng.randrange(60)
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)))
+    g = parse_graph(io.StringIO("".join(f"{u} {v}\n" for u, v in edges)))
+    res = run_gismo(encode_instance(g, 3))
+    assert res.total_search_nodes == 340_340 and res.total_conflicts == 0
+    assert is_gics(g, res.sensor_set, 3)

@@ -87,32 +87,32 @@ GOLDEN_SEARCH_NODES = {
     ("single.edges", 1, "y-first"): 1,
     ("fig1.edges", 2, "x-first"): 20,
     ("fig1.edges", 2, "y-first"): 21,
-    ("gnp30.edges", 2, "x-first"): 1370,
-    ("gnp30.edges", 2, "y-first"): 1547,
-    ("gnp50.edges", 2, "x-first"): 2424,
-    ("gnp50.edges", 2, "y-first"): 2939,
-    ("grid5x5.edges", 2, "x-first"): 818,
-    ("grid5x5.edges", 2, "y-first"): 1168,
+    ("gnp30.edges", 2, "x-first"): 955,
+    ("gnp30.edges", 2, "y-first"): 1086,
+    ("gnp50.edges", 2, "x-first"): 1689,
+    ("gnp50.edges", 2, "y-first"): 1976,
+    ("grid5x5.edges", 2, "x-first"): 466,
+    ("grid5x5.edges", 2, "y-first"): 664,
     ("k2.edges", 2, "x-first"): 4,
     ("k2.edges", 2, "y-first"): 6,
-    ("path20.edges", 2, "x-first"): 170,
-    ("path20.edges", 2, "y-first"): 191,
+    ("path20.edges", 2, "x-first"): 140,
+    ("path20.edges", 2, "y-first"): 161,
     ("fig1.edges", 3, "x-first"): 15,
     ("fig1.edges", 3, "y-first"): 18,
-    ("gnp30.edges", 3, "x-first"): 3213,
-    ("gnp30.edges", 3, "y-first"): 5313,
-    ("gnp50.edges", 3, "x-first"): 9808,
-    ("gnp50.edges", 3, "y-first"): 16733,
+    ("gnp30.edges", 3, "x-first"): 1871,
+    ("gnp30.edges", 3, "y-first"): 2881,
+    ("gnp50.edges", 3, "x-first"): 4153,
+    ("gnp50.edges", 3, "y-first"): 6763,
     ("grid5x5.edges", 3, "x-first"): 158,
     ("grid5x5.edges", 3, "y-first"): 129,
     ("path20.edges", 3, "x-first"): 58,
     ("path20.edges", 3, "y-first"): 61,
     ("fig1.edges", 4, "x-first"): 15,
     ("fig1.edges", 4, "y-first"): 18,
-    ("gnp30.edges", 4, "x-first"): 3026,
-    ("gnp30.edges", 4, "y-first"): 4044,
-    ("gnp50.edges", 4, "x-first"): 6093,
-    ("gnp50.edges", 4, "y-first"): 11849,
+    ("gnp30.edges", 4, "x-first"): 2005,
+    ("gnp30.edges", 4, "y-first"): 2773,
+    ("gnp50.edges", 4, "x-first"): 3811,
+    ("gnp50.edges", 4, "y-first"): 7002,
     ("grid5x5.edges", 4, "x-first"): 111,
     ("grid5x5.edges", 4, "y-first"): 102,
     ("path20.edges", 4, "x-first"): 58,
