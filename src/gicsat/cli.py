@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
 def _load_graph(path: str, fmt: str | None) -> Graph:
     try:
         return parse_graph_file(path, fmt)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -377,7 +377,7 @@ def cmd_bench(args) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fp:
             paths = [p for p in map(str.strip, fp) if p and not p.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read manifest: {exc}")
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
     _check_not_input(args.manifest, args.output, kind="manifest")
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         sys.stderr.write(f"gicsat: parse error: {exc}\n")
         return EXIT_PARSE
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, oracle.EnumerationBudgetError) as exc:
         sys.stderr.write(f"gicsat: resource limit: {exc}\n")
         return EXIT_RESOURCE
     except MemoryError:

@@ -32,6 +32,9 @@ variable a (auxiliaries too, lest shared totalizer outputs couple the
 copies) to a + t, t = F's variable count, and per projected variable z an
 indicator e_z = 2t + z with e_z -> (z <-> z').  The engine assumes
 {e_c : c in D}, z and -z'; a SAT model's two x copies give the witness.
+
+A greedy run's support lives in its context as `support`, changed only by
+`drop(v)` and `keep(v)`; a query with D = `support` reads its node mask.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ class DefinabilityContext:
     """The graph search, and one shared incremental engine behind it.
 
     engine names the `satcore.ENGINES` entry for the search's fall-throughs,
-    checked here and built on the first one.  The support run_gismo passes
-    is kept as a node mask that `drop(v)` shrinks; a defining set equal to
-    it minus the target's group is read from the mask, any other converted.
+    checked here and built on the first one.  `support`, the projected
+    variables of the groups not dropped, and its node mask change only by
+    `drop(v)` and `keep(v)`, which take v's group out and put it back; a
+    query on `support` itself reads the mask, any other set is converted.
     """
 
     def __init__(self, inst: EncodedInstance, engine: str = "bundled"):
@@ -90,8 +94,8 @@ class DefinabilityContext:
         self._inst = inst
         self._closed = closed_masks(g)
         self._nbrs = [sorted((u, *g.adjacency[u])) for u in range(g.n)]
-        self._support = set(inst.z_vars)
-        self._kept = (1 << g.n) - 1  # the nodes whose group is in _support
+        self.support = set(inst.z_vars)
+        self._kept = (1 << g.n) - 1  # the nodes whose group is in support
 
     @cached_property
     def base(self) -> CnfFormula:
@@ -111,9 +115,14 @@ class DefinabilityContext:
         return base
 
     def drop(self, v: int) -> None:
-        """Node v's group has left the support."""
-        self._support.difference_update(self._inst.group_of(v))
+        """Take node v's group out of the support."""
+        self.support.difference_update(self._inst.group_of(v))
         self._kept &= ~(1 << v)
+
+    def keep(self, v: int) -> None:
+        """Put node v's group back into the support."""
+        self.support.update(self._inst.group_of(v))
+        self._kept |= 1 << v
 
     def query(self, defining: Iterable[int], target: int,
               budget: int | None = None) -> QueryAnswer:
@@ -124,27 +133,21 @@ class DefinabilityContext:
         false for the second.  BUDGET_EXHAUSTED: the graph search was too
         large and the engine ran out of its conflict budget.
         """
-        defining = set(defining)
         n = self._inst.graph.n
         if not 1 <= target <= 2 * n:
             raise ValueError(f"target variable {target} is not a projected variable")
+        if defining is self.support:  # the mask holds exactly its nodes
+            dx = dy = self._kept
+        else:
+            defining = set(defining)
+            if bad := sorted(z for z in defining if not 1 <= z <= 2 * n):
+                raise ValueError(f"defining variables {bad} are not projected")
+            bits = sum(map(lshift, repeat(1), defining))  # bit z for variable z
+            dx, dy = bits >> 1 & (1 << n) - 1, bits >> n + 1
         if target in defining:
             raise ValueError("target variable must not be in the defining set")
-        support = self._support  # projected variables only
-        within = defining <= support
-        if not within and (min(defining) < 1 or max(defining) > 2 * n):
-            bad = sorted(z for z in defining if not 1 <= z <= 2 * n)
-            raise ValueError(f"defining variables {bad} are not projected")
         if budget is not None and budget < 1:  # checked even if no engine call
             raise ValueError("budget must be >= 1")
-        v = (target - 1) % n
-        partner = target + n if target <= n else target - n
-        if (within and target in support and partner in support
-                and partner not in defining and len(defining) == len(support) - 2):
-            dx = dy = self._kept & ~(1 << v)
-        else:  # bit z for variable z
-            bits = sum(map(lshift, repeat(1), defining))
-            dx, dy = bits >> 1 & (1 << n) - 1, bits >> n + 1
         nodes = [0]
         try:
             found = self._search(dx, dy, target, nodes)

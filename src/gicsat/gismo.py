@@ -1,17 +1,15 @@
 """Greedy group elimination: compute a set-minimal grouped independent support.
 
-Starting from all groups, each node's group is tentatively removed; its two
-variables are tested for definability from the support, the groups not
-dropped so far (not yet processed groups plus groups already kept).  x is
-probed before y at every k, which visits fewer graph-search pairs on the
-benchmark graphs; the probe order changes how many queries run, never
-which groups are kept.  A group that leaves the support is reported to the
-context through `drop`, so the context reads the next defining sets from a
-kept mask.  A group stays selected as soon as one of its variables is not
-provably defined -- a satisfiable query or an exhausted conflict budget
-both keep the group, so budget exhaustion errs on the safe side and the
-output is a grouped independent support regardless.  The selected nodes
-are exactly the sensor placement.
+Starting from all groups, each node's group is taken out of the support
+with `ctx.drop(v)` and its two variables are queried on `ctx.support`: the
+groups not yet processed plus the groups kept.  `ctx.keep(v)` puts the
+group back as soon as one of its variables is not provably defined -- a
+satisfiable query or an exhausted conflict budget both keep the group, so
+budget exhaustion errs on the safe side and the output is a grouped
+independent support regardless.  The kept nodes are exactly the sensor
+placement.  x is probed before y at every k, which visits fewer
+graph-search pairs on the benchmark graphs; the probe order changes how
+many queries run, never which groups are kept.
 
 A group kept on a SAT answer logs its witness, two failure sets whose
 signatures agree on the support minus the group; the support only shrinks,
@@ -101,20 +99,19 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
         cfg = GismoConfig()
     if ctx is None:
         ctx = DefinabilityContext(inst)
-    support = set(inst.z_vars)  # the groups not dropped so far
+    elif len(ctx.support) != 2 * inst.graph.n:
+        raise ValueError("the context's support is not full; pass a new context")
     log: list[GroupLog] = []
     for v in group_order(inst, cfg):
-        x_v, y_v = inst.group_of(v)
-        defining = support.difference((x_v, y_v))
+        ctx.drop(v)
         tested: list[QueryAnswer] = []
-        for z in (x_v, y_v):
-            tested.append(ctx.query(defining, z, cfg.budget))
+        for z in inst.group_of(v):
+            tested.append(ctx.query(ctx.support, z, cfg.budget))
             if tested[-1].status is not SolveStatus.UNSAT:
                 break  # not provably defined: the whole group stays
         kept = tested[-1].status is not SolveStatus.UNSAT
-        if not kept:
-            support.difference_update((x_v, y_v))
-            ctx.drop(v)
+        if kept:
+            ctx.keep(v)
         log.append(GroupLog(node=v, tested=tuple(tested), kept=kept))
     answers = [a for e in log for a in e.tested]
     return GisResult(

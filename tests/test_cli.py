@@ -107,6 +107,18 @@ def test_missing_file_exit_code(tmp_path):
                     "--output", str(tmp_path / "z.cnf")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["solve"], ["verify", "--sensors", "a"], ["encode", "--output", "z.cnf"]])
+def test_non_utf8_graph_is_parse_error(tmp_path, capsys, monkeypatch, command):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"a b\n\xff c\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([command[0], str(bad), "--k", "1", *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gicsat: parse error: cannot read")
+    assert "utf-8" in err and err.count("\n") == 1
+
+
 # ---- solve -----------------------------------------------------------------
 
 def solve_json(tmp_path, capsys, *extra):
@@ -283,6 +295,18 @@ def test_verify_unknown_sensor_label(capsys):
     capsys.readouterr()
 
 
+def test_verify_past_the_enumeration_budget_is_resource_limit(tmp_path, capsys):
+    # a 2,100-node path at k=2 has 2,206,051 failure sets, over the 2,000,000
+    # that find_signature_collision enumerates; it refuses before enumerating
+    path = tmp_path / "path.edges"
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(2099)))
+    assert run_cli(["verify", str(path), "--k", "2", "--sensors", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("gicsat: resource limit: 2206051 failure sets exceed "
+                   "the budget of 2000000\n")
+
+
 # ---- bench -------------------------------------------------------------------
 
 def test_par2_definition():
@@ -359,6 +383,25 @@ def test_bench_unparsable_graph_record(tmp_path, capsys):
     assert [r["status"] for r in report["records"]] == ["encode-fail"] * 2
     assert all("line 1" in r["error"] and r["n"] is None
                for r in report["records"])
+
+
+def test_bench_non_utf8_graph_record(tmp_path, capsys):
+    # the bad graph gets an encode-fail record and the run goes on
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"\xff\xfe\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{bad}\n{FIG1}\n")
+    report_path = tmp_path / "report.json"
+    assert run_cli(["bench", str(manifest), "--k", "1",
+                    "--output", str(report_path)]) == 0
+    capsys.readouterr()
+    first, second = json.loads(report_path.read_text())["records"]
+    assert first["status"] == "encode-fail" and "utf-8" in first["error"]
+    assert second["status"] == "solved"
+    manifest.write_bytes(b"\xff\n")  # a non-UTF-8 manifest ends the run
+    assert run_cli(["bench", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gicsat: parse error: cannot read manifest")
 
 
 @pytest.mark.parametrize("output", ["manifest.txt", "g.edges"])

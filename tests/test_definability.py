@@ -183,8 +183,8 @@ def test_query_rejects_non_projected_vars():
         ctx.query({aux}, xy(inst, "a")[0])
     with pytest.raises(ValueError):
         ctx.query(set(), aux)
-    # a set inside the kept support skips the range scan; the support plus
-    # one auxiliary variable must not
+    # only the context's own support skips the range scan; a set equal to
+    # it plus one auxiliary variable is converted and checked in full
     x_a, y_a = xy(inst, "a")
     with pytest.raises(ValueError, match="not projected"):
         ctx.query(set(inst.z_vars) - {x_a, y_a} | {aux}, x_a)
@@ -558,32 +558,39 @@ def test_pruning_keeps_every_answer_and_witness(query):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn_graphs(), st.data())
 def test_drop_replay_matches_full_conversion(inst, data):
-    # run_gismo's query sequence: x then y on the support minus the group,
-    # and a drop after two UNSAT answers.  The context told of each drop
-    # reads the defining set from its kept mask, the one never told converts
-    # it in full, and the engine decides each query on the base
+    # run_gismo's steps: drop the group, query x then y on the told context's
+    # support, keep the group unless both answers are UNSAT.  The told context
+    # reads the support from its mask, the untold one converts it in full, and
+    # the engine decides each query on the base
     order = data.draw(st.permutations(range(inst.graph.n)))
     told, untold = DefinabilityContext(inst), DefinabilityContext(inst)
     hat, ind = documented_layout(inst)
     engine = CdclSolver(untold.base)
-    support = set(inst.z_vars)
     answers = []
     for v in order:
-        group = inst.group_of(v)
-        defining = support - set(group)
-        for z in group:
-            got = told.query(defining, z)
-            assert got == untold.query(defining, z)
-            want = engine.solve([ind[c] for c in defining] + [z, -hat[z]])
+        told.drop(v)
+        for z in inst.group_of(v):
+            got = told.query(told.support, z)
+            assert got == untold.query(told.support, z)
+            want = engine.solve([ind[c] for c in told.support] + [z, -hat[z]])
             assert got.status is want.status
             answers.append(got)
             if got.status is SolveStatus.SAT:
+                told.keep(v)
                 break
-        else:
-            support -= set(group)
-            told.drop(v)
     res = run_gismo(inst, GismoConfig(order=tuple(order)))
     assert [a for e in res.per_group_log for a in e.tested] == answers
+    assert told.support == {z for v in res.sensor_set for z in inst.group_of(v)}
+
+
+def test_query_on_the_support_rejects_a_target_still_in_it():
+    inst = encode_instance(fig1(), 1)
+    ctx = DefinabilityContext(inst)
+    x_a, y_a = xy(inst, "a")
+    ctx.drop(inst.graph.index_of("b"))
+    for z in (x_a, y_a):
+        with pytest.raises(ValueError, match="target .* in the defining set"):
+            ctx.query(ctx.support, z)
 
 
 @pytest.mark.parametrize("name", ["path20.edges", "grid5x5.edges"])

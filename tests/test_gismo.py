@@ -232,6 +232,21 @@ def test_config_validation():
         GismoConfig(order="random")
 
 
+def test_run_needs_a_context_with_full_support():
+    inst = encode_instance(fig1(), 1)
+    ctx = DefinabilityContext(inst)
+    res = run_gismo(inst, ctx=ctx)
+    assert ctx.support == {z for v in res.sensor_set for z in inst.group_of(v)}
+    with pytest.raises(ValueError, match="support is not full"):
+        run_gismo(inst, ctx=ctx)  # a used context
+    interrupted = DefinabilityContext(inst)
+    interrupted.drop(0)  # as a run stopped inside node 0's queries leaves it
+    with pytest.raises(ValueError, match="support is not full"):
+        run_gismo(inst, ctx=interrupted)
+    interrupted.keep(0)
+    assert run_gismo(inst, ctx=interrupted) == res
+
+
 # ---- verify_result ---------------------------------------------------------------
 
 def test_verify_result_examples():

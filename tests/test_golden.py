@@ -142,21 +142,18 @@ def replica_run(inst, probes):
     answer every query, as on every golden row.
     """
     ctx = DefinabilityContext(inst)
-    support = set(inst.z_vars)
     sensors, nodes = set(), 0
     for v in range(inst.graph.n):
+        ctx.drop(v)
         group = inst.group_of(v)  # (x_v, y_v)
         for z in group if probes == "x-first" else group[::-1]:
-            answer = ctx.query(support.difference(group), z,
-                               GismoConfig().budget)
+            answer = ctx.query(ctx.support, z, GismoConfig().budget)
             assert answer.layer == "graph"
             nodes += answer.search_nodes
             if answer.status is SolveStatus.SAT:
                 sensors.add(v)
+                ctx.keep(v)
                 break
-        else:
-            support.difference_update(group)
-            ctx.drop(v)
     return sensors, nodes
 
 
