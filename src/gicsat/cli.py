@@ -1,5 +1,9 @@
 """Command-line front end: encode, solve, verify, bench.
 
+`solve --time-limit` is a monotonic deadline checked before each
+definability query, so a run can overrun it by one bounded query;
+`--mem-limit` lowers RLIMIT_AS for the run.
+
 Exit codes: 0 success, 1 usage error or failed verification, 2 unreadable
 or malformed graph input, 3 resource limit hit.
 """
@@ -10,15 +14,13 @@ import argparse
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
-import threading
 import time
 from collections import Counter
 
 from . import encoder, gismo, oracle
-from .definability import LAYERS
+from .definability import LAYERS, DefinabilityContext
 from .graph import Graph, GraphParseError, parse_graph_file
 from .satcore import write_dimacs
 
@@ -117,7 +119,7 @@ def _build_parser() -> _Parser:
 def _load_graph(path: str, fmt: str | None) -> Graph:
     try:
         return parse_graph_file(path, fmt)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -126,41 +128,31 @@ def _check_k(g: Graph, k: int) -> None:
         raise UsageError(f"--k must be between 1 and the node count {g.n}, got {k}")
 
 
-def _apply_limits(time_limit: float | None, mem_limit_mb: int | None):
-    """Arm per-run limits; returns a restore callable for in-process callers."""
-    on_main = threading.current_thread() is threading.main_thread()
-    if time_limit is not None and not on_main:  # SIGALRM is main-thread only
-        raise UsageError("--time-limit works only on the main thread")
-    restores = []
-    if mem_limit_mb is not None:
-        import resource
-        limit = mem_limit_mb * 1024 * 1024
-        try:
-            old = resource.getrlimit(resource.RLIMIT_AS)
-            resource.setrlimit(resource.RLIMIT_AS, (limit, old[1]))
-            restores.append(lambda: resource.setrlimit(resource.RLIMIT_AS, old))
-        except (ValueError, OSError):
-            pass  # refusing to lower a hard limit is not fatal
-    if time_limit is not None:
-        def on_alarm(signum, frame):
-            raise ResourceLimitError("time limit exceeded")
-        previous = signal.signal(signal.SIGALRM, on_alarm)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, time_limit)
-        except OverflowError:  # beyond what the platform's timer can hold
-            signal.signal(signal.SIGALRM, previous)
-            for fn in restores:
-                fn()
-            raise UsageError(f"--time-limit {time_limit} is out of range") from None
-        def disarm():
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        restores.append(disarm)
+def _limit_memory(mem_limit_mb: int | None):
+    """Lower RLIMIT_AS for the run; returns a restore callable."""
+    if mem_limit_mb is None:
+        return lambda: None
+    import resource
+    try:
+        old = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (mem_limit_mb * 1024 * 1024, old[1]))
+    except (ValueError, OSError):
+        return lambda: None  # refusing to lower a hard limit is not fatal
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, old)
 
-    def restore():
-        for fn in reversed(restores):
-            fn()
-    return restore
+
+class _DeadlineContext(DefinabilityContext):
+    """A context whose queries refuse to start past a monotonic deadline."""
+
+    def __init__(self, inst: encoder.EncodedInstance, deadline: float):
+        super().__init__(inst)
+        self.deadline = deadline
+
+    def query(self, defining, target, budget=None):
+        if time.monotonic() > self.deadline:
+            raise ResourceLimitError("time limit exceeded")
+        return super().query(defining, target, budget)
 
 
 def _parse_order(text: str, g: Graph) -> str | tuple[int, ...]:
@@ -222,11 +214,11 @@ def cmd_encode(args) -> int:
 
 
 def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
-                 timing: bool = False) -> dict:
+                 deadline: float, timing: bool = False) -> dict:
     """Run the full pipeline and assemble the machine-readable record."""
     start = time.monotonic()
     inst = encoder.encode_instance(g, k)
-    result = gismo.run_gismo(inst, cfg)
+    result = gismo.run_gismo(inst, cfg, _DeadlineContext(inst, deadline))
     elapsed = time.monotonic() - start
     layers = Counter(a.layer for e in result.per_group_log for a in e.tested)
     record = {
@@ -255,7 +247,8 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
 
 def cmd_solve(args) -> int:
     _check_not_input(args.graph, args.output)
-    restore = _apply_limits(args.time_limit, args.mem_limit)
+    deadline = time.monotonic() + (args.time_limit or math.inf)
+    restore = _limit_memory(args.mem_limit)
     try:
         g = _load_graph(args.graph, args.format)
         _check_k(g, args.k)
@@ -265,7 +258,8 @@ def cmd_solve(args) -> int:
                                     seed=args.seed)
         except ValueError as exc:
             raise UsageError(f"--order: {exc}; pass --seed") from None
-        record = solve_record(args.graph, g, args.k, cfg, timing=args.timing)
+        record = solve_record(args.graph, g, args.k, cfg, deadline,
+                              timing=args.timing)
     finally:
         restore()
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"

@@ -113,7 +113,10 @@ def parse_graph_file(path: str, fmt: str | None = None) -> Graph:
     if fmt is None:
         fmt = "mtx" if path.endswith(".mtx") else "edgelist"
     with open(path, "r", encoding="utf-8") as fp:
-        return parse_graph(fp, fmt)
+        try:
+            return parse_graph(fp, fmt)
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _node(index: dict[str, int], label: str) -> int:

@@ -208,41 +208,75 @@ def test_non_positive_numbers_are_usage_errors(capsys, command, flag, value):
 
 
 @pytest.mark.parametrize("extra", [["--order", "a,b"],
-                                   ["--order", "a,a,b,c,d"],
-                                   ["--time-limit", "1e12"]])
+                                   ["--order", "a,a,b,c,d"]])
 def test_solve_order_and_time_limit_usage_errors(capsys, extra):
-    handler = signal.getsignal(signal.SIGALRM)
     assert run_cli(["solve", FIG1, "--k", "1", *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("gicsat: error:") and err.count("\n") == 1
-    assert signal.getsignal(signal.SIGALRM) is handler
 
 
 def test_solve_time_limit_exit_code(tmp_path, capsys):
     gnp50 = os.path.join(DATA, "gnp50.edges")
     rc = run_cli(["solve", gnp50, "--k", "2", "--time-limit", "0.001"])
-    capsys.readouterr()
-    assert rc == 3
-    # the alarm must be disarmed: a follow-up in-process run succeeds
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == "gicsat: resource limit: time limit exceeded\n"
+    # nothing outlives the run: a follow-up in-process run succeeds
     assert run_cli(["solve", FIG1, "--k", "1",
                     "--output", str(tmp_path / "after.json")]) == 0
     capsys.readouterr()
 
 
-def test_solve_time_limit_off_the_main_thread_is_usage_error(capsys):
-    # only the main thread can take SIGALRM: refused before any limit is armed
-    handler = signal.getsignal(signal.SIGALRM)
+def test_solve_huge_time_limit_is_no_limit(capsys):
+    # a deadline far past any run is simply never reached
+    assert run_cli(["solve", FIG1, "--k", "1", "--time-limit", "1e12"]) == 0
+    limited = capsys.readouterr().out
+    assert run_cli(["solve", FIG1, "--k", "1"]) == 0
+    assert capsys.readouterr().out == limited
+
+
+def test_solve_time_limit_leaves_the_callers_timer_alone(capsys):
+    # the limit is a deadline, not the process's ITIMER_REAL and SIGALRM
+    def outer(signum, frame):
+        raise AssertionError("the caller's timer fired during the test")
+    previous = signal.signal(signal.SIGALRM, outer)
+    signal.setitimer(signal.ITIMER_REAL, 50)
+    try:
+        assert run_cli(["solve", FIG1, "--k", "1", "--time-limit", "100"]) == 0
+        remaining, interval = signal.getitimer(signal.ITIMER_REAL)
+        handler = signal.getsignal(signal.SIGALRM)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    capsys.readouterr()
+    assert handler is outer
+    assert 40 < remaining <= 50 and interval == 0
+
+
+def test_solve_time_limit_on_a_worker_thread(capsys):
+    # the deadline needs no signal, so it holds off the main thread too
+    gnp50 = os.path.join(DATA, "gnp50.edges")
     rlimit = resource.getrlimit(resource.RLIMIT_AS)
-    codes = []
-    worker = threading.Thread(target=lambda: codes.append(run_cli(
-        ["solve", FIG1, "--k", "1", "--time-limit", "5", "--mem-limit", "4096"])))
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert codes == [1]
-    assert "--time-limit works only on the main thread" in capsys.readouterr().err
-    assert signal.getsignal(signal.SIGALRM) is handler
+
+    def on_worker(seconds):
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run_cli(
+            ["solve", gnp50, "--k", "2", "--time-limit", seconds,
+             "--mem-limit", "4096"])))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        return codes, *capsys.readouterr()
+
+    codes, out, err = on_worker("0.001")
+    assert codes == [3] and out == ""
+    assert err == "gicsat: resource limit: time limit exceeded\n"
     assert resource.getrlimit(resource.RLIMIT_AS) == rlimit
+    codes, out, err = on_worker("60")
+    assert codes == [0] and err == ""
+    assert resource.getrlimit(resource.RLIMIT_AS) == rlimit
+    assert run_cli(["solve", gnp50, "--k", "2", "--time-limit", "60"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_solve_deterministic_output(tmp_path, capsys):

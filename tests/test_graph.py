@@ -4,7 +4,8 @@ import random
 import pytest
 
 from gicsat.graph import (GraphParseError, build_graph, closed_neighborhood,
-                          closed_neighborhood_set, parse_graph)
+                          closed_neighborhood_set, parse_graph,
+                          parse_graph_file)
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
 
@@ -49,6 +50,17 @@ def test_parse_malformed_line_reports_number():
 def test_parse_empty_graph():
     with pytest.raises(GraphParseError):
         parse_graph(io.StringIO("# nothing\n"))
+
+
+@pytest.mark.parametrize("name", ["bad.edges", "bad.mtx"])
+def test_parse_file_non_utf8_is_parse_error(tmp_path, name):
+    # a library caller that catches GraphParseError sees undecodable bytes too
+    path = tmp_path / name
+    path.write_bytes(b"1 1 1\n\xff 1\n")
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_file(str(path))
+    assert str(err.value).startswith(f"cannot read {path}: ")
+    assert "utf-8" in str(err.value) and err.value.line is None
 
 
 def test_parse_mtx():
