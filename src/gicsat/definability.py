@@ -11,20 +11,24 @@ for F1 and false for F2.  `query` searches pairs of node sets for one:
   ({w}, {}) per w in N[v] outside Dx, no node of N[v] may join F2, and a
   start w that failed may not join F1 in the later starts;
 - step: a side with k nodes that lacks any Dy node the other side covers
-  ends the branch.  Else take the lowest u in Dy that only one side
-  covers; with none, the pair is the witness.  Say F2 lacks u: each w in
-  N[u] that may join F2 gets one branch, joining F2 alone if w is in F1
-  or outside Dx, else both sides; once it fails, w may not join F2 in the
-  later branches.  The roles swap when F1 lacks u.  No side passes k.
+  ends the branch.  Else take the u in Dy that only one side covers with
+  the fewest neighbours, the lowest such u on a tie; with none, the pair
+  is the witness.  Say F2 lacks u: each w in N[u] that may join F2 gets
+  one branch, joining F2 alone if w is in F1 or outside Dx, else both
+  sides; once it fails, w may not join F2 in the later branches.  The
+  roles swap when F1 lacks u.  No side passes k.
 
-Any witness containing the pair has a first node w of N[u] on the lacking
-side, and w's branch lies inside it: a witness that holds w in Dx on one
-side holds it on both.  No earlier sibling is on that side of the witness,
-so the bars hold for it, and a full side can never cover u.  The same goes
-for the first w of N[v] in F1 among the y_v starts.  So a failed search
-proves definability, and as only subtrees without a witness are cut, the
-depth-first search meets the same first witness as one that also tries
-every w of N[u] on both sides and bars nothing.
+Any u that only one side covers will do: the lacking side of any witness
+containing the pair must gain some w in N[u] to cover u, and the fewest
+neighbours give the fewest branches.  So the witness has a first node w of
+N[u] on the lacking side, and w's branch lies inside it: a witness that
+holds w in Dx on one side holds it on both.  No earlier sibling is on that
+side of the witness, so the bars hold for it, and a full side can never
+cover u.  The same goes for the first w of N[v] in F1 among the y_v
+starts.  So a failed search proves definability, and as only subtrees
+without a witness are cut, the depth-first search meets the same first
+witness as one that branches on the same u but also tries every w of N[u]
+on both sides and bars nothing.
 Such answers have `layer` "graph".  A search that would visit more than
 SEARCH_NODES pairs falls through to the "engine", built on the first such
 query over the two-copy base formula: F, a copy F' that renames every
@@ -94,6 +98,10 @@ class DefinabilityContext:
         self._inst = inst
         self._closed = closed_masks(g)
         self._nbrs = [sorted((u, *g.adjacency[u])) for u in range(g.n)]
+        by_size = {}  # |N[u]| -> the mask of such nodes u
+        for u, nb in enumerate(self._nbrs):
+            by_size[len(nb)] = by_size.get(len(nb), 0) | 1 << u
+        self._size_classes = [by_size[s] for s in sorted(by_size)]
         self.support = set(inst.z_vars)
         self._kept = (1 << g.n) - 1  # the nodes whose group is in support
 
@@ -163,7 +171,7 @@ class DefinabilityContext:
         """The witness (F1, F2) as node masks, or None if there is none;
         nodes[0] counts the pairs visited, _OutOfNodes past SEARCH_NODES."""
         n, k = self._inst.graph.n, self._inst.k
-        closed, nbrs = self._closed, self._nbrs
+        closed, nbrs, classes = self._closed, self._nbrs, self._size_classes
         limit = SEARCH_NODES
         if limit < 1:
             raise _OutOfNodes
@@ -180,6 +188,10 @@ class DefinabilityContext:
             diff = only1 | only2
             if not diff:
                 return (f2, f1) if swapped else (f1, f2)
+            for m in classes:  # u: in the first size class diff meets
+                if diff & m:
+                    diff &= m
+                    break
             u = (diff & -diff).bit_length() - 1
             if only2 >> u & 1:  # side 1 lacks u: swap so that side 2 does
                 f1, f2, n1, n2, c1, c2, b1, b2, swapped = (

@@ -73,50 +73,50 @@ GOLDEN = {
 GOLDEN_SEARCH_NODES = {
     ("fig1.edges", 1, "x-first"): 15,
     ("fig1.edges", 1, "y-first"): 15,
-    ("gnp30.edges", 1, "x-first"): 217,
-    ("gnp30.edges", 1, "y-first"): 197,
-    ("gnp50.edges", 1, "x-first"): 331,
-    ("gnp50.edges", 1, "y-first"): 284,
-    ("grid5x5.edges", 1, "x-first"): 105,
-    ("grid5x5.edges", 1, "y-first"): 85,
+    ("gnp30.edges", 1, "x-first"): 165,
+    ("gnp30.edges", 1, "y-first"): 149,
+    ("gnp50.edges", 1, "x-first"): 247,
+    ("gnp50.edges", 1, "y-first"): 219,
+    ("grid5x5.edges", 1, "x-first"): 92,
+    ("grid5x5.edges", 1, "y-first"): 77,
     ("k2.edges", 1, "x-first"): 3,
     ("k2.edges", 1, "y-first"): 3,
     ("path20.edges", 1, "x-first"): 66,
     ("path20.edges", 1, "y-first"): 58,
     ("single.edges", 1, "x-first"): 1,
     ("single.edges", 1, "y-first"): 1,
-    ("fig1.edges", 2, "x-first"): 20,
-    ("fig1.edges", 2, "y-first"): 21,
-    ("gnp30.edges", 2, "x-first"): 955,
-    ("gnp30.edges", 2, "y-first"): 1086,
-    ("gnp50.edges", 2, "x-first"): 1689,
-    ("gnp50.edges", 2, "y-first"): 1976,
-    ("grid5x5.edges", 2, "x-first"): 466,
-    ("grid5x5.edges", 2, "y-first"): 664,
+    ("fig1.edges", 2, "x-first"): 19,
+    ("fig1.edges", 2, "y-first"): 20,
+    ("gnp30.edges", 2, "x-first"): 436,
+    ("gnp30.edges", 2, "y-first"): 543,
+    ("gnp50.edges", 2, "x-first"): 800,
+    ("gnp50.edges", 2, "y-first"): 959,
+    ("grid5x5.edges", 2, "x-first"): 260,
+    ("grid5x5.edges", 2, "y-first"): 414,
     ("k2.edges", 2, "x-first"): 4,
     ("k2.edges", 2, "y-first"): 6,
     ("path20.edges", 2, "x-first"): 140,
     ("path20.edges", 2, "y-first"): 161,
     ("fig1.edges", 3, "x-first"): 15,
-    ("fig1.edges", 3, "y-first"): 18,
-    ("gnp30.edges", 3, "x-first"): 1871,
-    ("gnp30.edges", 3, "y-first"): 2881,
-    ("gnp50.edges", 3, "x-first"): 4153,
-    ("gnp50.edges", 3, "y-first"): 6763,
-    ("grid5x5.edges", 3, "x-first"): 158,
-    ("grid5x5.edges", 3, "y-first"): 129,
+    ("fig1.edges", 3, "y-first"): 17,
+    ("gnp30.edges", 3, "x-first"): 772,
+    ("gnp30.edges", 3, "y-first"): 1227,
+    ("gnp50.edges", 3, "x-first"): 1987,
+    ("gnp50.edges", 3, "y-first"): 3704,
+    ("grid5x5.edges", 3, "x-first"): 112,
+    ("grid5x5.edges", 3, "y-first"): 94,
     ("path20.edges", 3, "x-first"): 58,
-    ("path20.edges", 3, "y-first"): 61,
+    ("path20.edges", 3, "y-first"): 60,
     ("fig1.edges", 4, "x-first"): 15,
-    ("fig1.edges", 4, "y-first"): 18,
-    ("gnp30.edges", 4, "x-first"): 2005,
-    ("gnp30.edges", 4, "y-first"): 2773,
-    ("gnp50.edges", 4, "x-first"): 3811,
-    ("gnp50.edges", 4, "y-first"): 7002,
-    ("grid5x5.edges", 4, "x-first"): 111,
-    ("grid5x5.edges", 4, "y-first"): 102,
+    ("fig1.edges", 4, "y-first"): 17,
+    ("gnp30.edges", 4, "x-first"): 617,
+    ("gnp30.edges", 4, "y-first"): 1145,
+    ("gnp50.edges", 4, "x-first"): 2231,
+    ("gnp50.edges", 4, "y-first"): 4121,
+    ("grid5x5.edges", 4, "x-first"): 92,
+    ("grid5x5.edges", 4, "y-first"): 86,
     ("path20.edges", 4, "x-first"): 58,
-    ("path20.edges", 4, "y-first"): 61,
+    ("path20.edges", 4, "y-first"): 60,
 }
 
 
