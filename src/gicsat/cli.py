@@ -67,11 +67,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="gicsat", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_k=True):
+    def common(sp):
         sp.add_argument("graph", help="path to the input graph")
-        if with_k:
-            sp.add_argument("--k", type=int, required=True,
-                            help="maximum number of simultaneous failures")
+        sp.add_argument("--k", type=int, required=True,
+                        help="maximum number of simultaneous failures")
         sp.add_argument("--format", choices=("edgelist", "mtx"), default=None,
                         help="input format (default: inferred from extension)")
 

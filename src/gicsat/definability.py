@@ -7,16 +7,19 @@ exactly when a witness exists: failure sets F1, F2, |Fi| <= k, that agree
 on D (F1 and Dx = F2 and Dx, N[F1] and Dy = N[F2] and Dy), the target true
 for F1 and false for F2.  `query` searches pairs of node sets for one:
 
-- start, for x_v: ({v}, {}), and v may never join F2; for y_v: one start
-  ({w}, {}) per w in N[v] outside Dx, no node of N[v] may join F2, and a
-  start w that failed may not join F1 in the later starts;
+- start: the target z is true for F exactly when F meets O(z), with
+  O(x_v) = {v} and O(y_v) = N[v].  One start ({w}, {}) per w in O(z)
+  outside Dx; no node of O(z) may join F2, and a start w that failed may
+  not join F1 in the later starts;
 - step: a side with k nodes that lacks any Dy node the other side covers
   ends the branch.  Else take the u in Dy that only one side covers with
   the fewest neighbours, the lowest such u on a tie; with none, the pair
   is the witness.  Say F2 lacks u: each w in N[u] that may join F2 gets
   one branch, joining F2 alone if w is in F1 or outside Dx, else both
   sides; once it fails, w may not join F2 in the later branches.  The
-  roles swap when F1 lacks u.  No side passes k.
+  roles swap when F1 lacks u.  No side passes k.  Of the pair found,
+  the true F1 is the side that meets O(z): F2 starts barred from O(z),
+  the bars swap with the sides, and no branch adds a barred node.
 
 Any u that only one side covers will do: the lacking side of any witness
 containing the pair must gain some w in N[u] to cover u, and the fewest
@@ -24,11 +27,11 @@ neighbours give the fewest branches.  So the witness has a first node w of
 N[u] on the lacking side, and w's branch lies inside it: a witness that
 holds w in Dx on one side holds it on both.  No earlier sibling is on that
 side of the witness, so the bars hold for it, and a full side can never
-cover u.  The same goes for the first w of N[v] in F1 among the y_v
-starts.  So a failed search proves definability, and as only subtrees
-without a witness are cut, the depth-first search meets the same first
-witness as one that branches on the same u but also tries every w of N[u]
-on both sides and bars nothing.
+cover u.  The same goes for the first w of O(z) in F1 among the starts.
+So a failed search proves definability, and as only subtrees without a
+witness are cut, the depth-first search meets the same first witness as
+one that branches on the same u but also tries every w of N[u] on both
+sides and bars nothing.
 Such answers have `layer` "graph".  A search that would visit more than
 SEARCH_NODES pairs falls through to the "engine", built on the first such
 query over the two-copy base formula: F, a copy F' that renames every
@@ -55,7 +58,8 @@ from .satcore import CnfFormula, SolveStatus, engine_factory
 
 Witness = tuple[frozenset[int], frozenset[int]]
 LAYERS = ("graph", "engine")  # the witness sources
-SEARCH_NODES = 1_000_000  # pairs one graph search may visit; 0: engine only
+SEARCH_NODES = 1_000_000  # pairs one graph search may visit; 0: the engine
+# answers every query that has a start
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ class _OutOfNodes(Exception):
 
 
 class DefinabilityContext:
-    """The graph search, and one shared incremental engine behind it.
+    """The graph search on `inst`, and one shared incremental engine behind it.
 
     engine names the `satcore.ENGINES` entry for the search's fall-throughs,
     checked here and built on the first one.  `support`, the projected
@@ -95,7 +99,7 @@ class DefinabilityContext:
         g = inst.graph
         self._make_engine = engine_factory(engine)
         self._engine = None
-        self._inst = inst
+        self.inst = inst
         self._closed = closed_masks(g)
         self._nbrs = [sorted((u, *g.adjacency[u])) for u in range(g.n)]
         by_size = {}  # |N[u]| -> the mask of such nodes u
@@ -108,8 +112,8 @@ class DefinabilityContext:
     @cached_property
     def base(self) -> CnfFormula:
         """The two-copy formula the engine answers on."""
-        f = self._inst.formula
-        shift, nz = f.num_vars, 2 * self._inst.graph.n
+        f = self.inst.formula
+        shift, nz = f.num_vars, 2 * self.inst.graph.n
         base = CnfFormula(2 * shift + nz)
         # F's clauses are already normalised, so they are copied, not re-added
         clauses = base.clauses
@@ -124,12 +128,12 @@ class DefinabilityContext:
 
     def drop(self, v: int) -> None:
         """Take node v's group out of the support."""
-        self.support.difference_update(self._inst.group_of(v))
+        self.support.difference_update(self.inst.group_of(v))
         self._kept &= ~(1 << v)
 
     def keep(self, v: int) -> None:
         """Put node v's group back into the support."""
-        self.support.update(self._inst.group_of(v))
+        self.support.update(self.inst.group_of(v))
         self._kept |= 1 << v
 
     def query(self, defining: Iterable[int], target: int,
@@ -141,7 +145,7 @@ class DefinabilityContext:
         false for the second.  BUDGET_EXHAUSTED: the graph search was too
         large and the engine ran out of its conflict budget.
         """
-        n = self._inst.graph.n
+        n = self.inst.graph.n
         if not 1 <= target <= 2 * n:
             raise ValueError(f"target variable {target} is not a projected variable")
         if defining is self.support:  # the mask holds exactly its nodes
@@ -170,15 +174,13 @@ class DefinabilityContext:
                 nodes: list[int]) -> tuple[int, int] | None:
         """The witness (F1, F2) as node masks, or None if there is none;
         nodes[0] counts the pairs visited, _OutOfNodes past SEARCH_NODES."""
-        n, k = self._inst.graph.n, self._inst.k
+        n, k = self.inst.graph.n, self.inst.k
         closed, nbrs, classes = self._closed, self._nbrs, self._size_classes
         limit = SEARCH_NODES
-        if limit < 1:
-            raise _OutOfNodes
 
-        def step(f1, f2, n1, n2, c1, c2, b1, b2, swapped):
+        def step(f1, f2, n1, n2, c1, c2, b1, b2):
             # f: the side's nodes, n: their number, c: N[f], b: the nodes
-            # barred from it, all as masks; swapped: side 2 is the true F1
+            # barred from it, all as masks; the sides may come back swapped
             if nodes[0] == limit:
                 raise _OutOfNodes
             nodes[0] += 1
@@ -187,25 +189,23 @@ class DefinabilityContext:
                 return None  # a full side lacks a differing node
             diff = only1 | only2
             if not diff:
-                return (f2, f1) if swapped else (f1, f2)
+                return f1, f2
             for m in classes:  # u: in the first size class diff meets
                 if diff & m:
                     diff &= m
                     break
             u = (diff & -diff).bit_length() - 1
             if only2 >> u & 1:  # side 1 lacks u: swap so that side 2 does
-                f1, f2, n1, n2, c1, c2, b1, b2, swapped = (
-                    f2, f1, n2, n1, c2, c1, b2, b1, not swapped)
+                f1, f2, n1, n2, c1, c2, b1, b2 = f2, f1, n2, n1, c2, c1, b2, b1
             for w in nbrs[u]:
                 bit, cw = 1 << w, closed[w]
                 if b2 & bit:
                     continue
                 if f1 & bit or not dx & bit:  # w joins side 2 alone
-                    found = step(f1, f2 | bit, n1, n2 + 1, c1, c2 | cw,
-                                 b1, b2, swapped)
+                    found = step(f1, f2 | bit, n1, n2 + 1, c1, c2 | cw, b1, b2)
                 elif n1 < k and not b1 & bit:  # w joins both sides
                     found = step(f1 | bit, f2 | bit, n1 + 1, n2 + 1,
-                                 c1 | cw, c2 | cw, b1, b2, swapped)
+                                 c1 | cw, c2 | cw, b1, b2)
                 else:
                     continue
                 if found:
@@ -214,21 +214,20 @@ class DefinabilityContext:
             return None
 
         v = (target - 1) % n
-        if target <= n:  # x_v
-            return step(1 << v, 0, 1, 0, closed[v], 0, 0, 1 << v, False)
-        barred = 0  # y_v: the failed starts, barred from F1
-        for w in nbrs[v]:
+        # own: O(target), barred from F2; the side of the witness that meets it is F1
+        own, starts = (1 << v, [v]) if target <= n else (closed[v], nbrs[v])
+        barred = 0  # the failed starts, barred from F1
+        for w in starts:
             if not dx >> w & 1:
-                if found := step(1 << w, 0, 1, 0, closed[w], 0, barred,
-                                 closed[v], False):
-                    return found
+                if found := step(1 << w, 0, 1, 0, closed[w], 0, barred, own):
+                    return found if found[0] & own else found[::-1]
                 barred |= 1 << w
         return None
 
     def _solve(self, defining: set[int], target: int, budget: int | None,
                search_nodes: int) -> QueryAnswer:
         """One engine call on the base, built on the first call."""
-        shift = self._inst.formula.num_vars
+        shift = self.inst.formula.num_vars
         assumptions = [2 * shift + z for z in sorted(defining)]
         assumptions += [target, -target - shift]
         if self._engine is None:
@@ -236,7 +235,7 @@ class DefinabilityContext:
         out = self._engine.solve(assumptions, budget)
         witness = None
         if out.status is SolveStatus.SAT:  # copy 1 holds the target true
-            m, x = out.model, self._inst.x
+            m, x = out.model, self.inst.x
             witness = (frozenset(v for v, z in enumerate(x) if m[z]),
                        frozenset(v for v, z in enumerate(x) if m[z + shift]))
         return QueryAnswer(target, out.status, witness, out.conflicts_used,

@@ -99,6 +99,8 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
         cfg = GismoConfig()
     if ctx is None:
         ctx = DefinabilityContext(inst)
+    elif ctx.inst is not inst:
+        raise ValueError("the context was built on another instance")
     elif len(ctx.support) != 2 * inst.graph.n:
         raise ValueError("the context's support is not full; pass a new context")
     log: list[GroupLog] = []

@@ -8,6 +8,7 @@ numbering is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 
@@ -43,14 +44,9 @@ class Graph:
         except KeyError:
             raise KeyError(f"unknown node label {label!r}") from None
 
-    @property
+    @cached_property
     def _label_index(self) -> dict[str, int]:
-        # cached lazily; object.__setattr__ because the dataclass is frozen
-        cache = self.__dict__.get("_label_index_cache")
-        if cache is None:
-            cache = {lab: i for i, lab in enumerate(self.labels)}
-            object.__setattr__(self, "_label_index_cache", cache)
-        return cache
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self.n:

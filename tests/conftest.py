@@ -12,10 +12,6 @@ class FreshContext(DefinabilityContext):
     is cross-checked against.
     """
 
-    def __init__(self, inst):
-        super().__init__(inst)
-        self.inst = inst
-
     def query(self, defining, target, budget=None):
         return DefinabilityContext(self.inst).query(defining, target, budget)
 
@@ -27,5 +23,6 @@ def fresh_context():
 
 @pytest.fixture
 def engine_only(monkeypatch):
-    """With a graph-search budget of 0, every query goes to the engine."""
+    """With a graph-search budget of 0, every query with a start (every
+    run_gismo query) goes to the engine."""
     monkeypatch.setattr(definability, "SEARCH_NODES", 0)

@@ -377,6 +377,16 @@ def test_engine_witness_decoded_at_k3(engine_only):
     assert got.witness == (frozenset({0, 2, 4}), frozenset({0, 4}))
 
 
+def test_query_without_a_start_is_answered_on_the_graph(engine_only):
+    # Dx holds every node, so no node of N[2] can start F1: even with no
+    # search pairs allowed, the graph proves y_2 defined and builds no base
+    defining = set(PATH5.z_vars) - {PATH5.y[2]}
+    ctx = DefinabilityContext(PATH5)
+    got = ctx.query(defining, PATH5.y[2])
+    assert (got.status, got.layer, got.search_nodes) == (SolveStatus.UNSAT, "graph", 0)
+    assert "base" not in vars(ctx) and ctx._engine is None
+
+
 def test_graph_witness_at_k3():
     defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
     got = DefinabilityContext(PATH5).query(defining, PATH5.y[2])

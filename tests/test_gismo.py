@@ -247,6 +247,14 @@ def test_run_needs_a_context_with_full_support():
     assert run_gismo(inst, ctx=interrupted) == res
 
 
+def test_run_needs_the_context_of_its_instance():
+    # a context for k=1 would answer the k=2 run's queries at k=1
+    g = parse_graph_file(str(DATA / "gnp30.edges"))
+    ctx = DefinabilityContext(encode_instance(g, 1))
+    with pytest.raises(ValueError, match="another instance"):
+        run_gismo(encode_instance(g, 2), ctx=ctx)
+
+
 # ---- verify_result ---------------------------------------------------------------
 
 def test_verify_result_examples():
