@@ -29,7 +29,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_BUDGET = 5000
 DEFAULT_TIME_LIMIT = 3600.0
 DEFAULT_MEM_LIMIT_MB = 4096
 # verify cross-checks the CNF truth table up to this many failure sets
@@ -80,7 +79,8 @@ def _build_parser() -> _Parser:
 
     sol = sub.add_parser("solve", help="compute a sensor placement")
     common(sol)
-    sol.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET,
+    sol.add_argument("--budget", type=_positive(int),
+                     default=gismo.GismoConfig.budget,
                      help="conflict budget of each definability query that "
                           "the graph search leaves to the solver")
     sol.add_argument("--order", default="input",
@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
     ben = sub.add_parser("bench", help="run a manifest of graphs and score PAR-2")
     ben.add_argument("manifest", help="file listing one graph path per line")
     ben.add_argument("--k", default="1", help="comma-separated k values")
-    ben.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET)
+    ben.add_argument("--budget", type=_positive(int), default=gismo.GismoConfig.budget)
     ben.add_argument("--time-limit", type=_positive(float),
                      default=DEFAULT_TIME_LIMIT, metavar="SECONDS")
     ben.add_argument("--mem-limit", type=_positive(int),

@@ -53,7 +53,7 @@ from operator import lshift
 from typing import Iterable
 
 from .encoder import EncodedInstance
-from .oracle import closed_masks, mask_to_set
+from .graph import mask_to_set
 from .satcore import CnfFormula, SolveStatus, engine_factory
 
 Witness = tuple[frozenset[int], frozenset[int]]
@@ -100,10 +100,8 @@ class DefinabilityContext:
         self._make_engine = engine_factory(engine)
         self._engine = None
         self.inst = inst
-        self._closed = closed_masks(g)
-        self._nbrs = [sorted((u, *g.adjacency[u])) for u in range(g.n)]
         by_size = {}  # |N[u]| -> the mask of such nodes u
-        for u, nb in enumerate(self._nbrs):
+        for u, nb in enumerate(g.closed):
             by_size[len(nb)] = by_size.get(len(nb), 0) | 1 << u
         self._size_classes = [by_size[s] for s in sorted(by_size)]
         self.support = set(inst.z_vars)
@@ -174,8 +172,8 @@ class DefinabilityContext:
                 nodes: list[int]) -> tuple[int, int] | None:
         """The witness (F1, F2) as node masks, or None if there is none;
         nodes[0] counts the pairs visited, _OutOfNodes past SEARCH_NODES."""
-        n, k = self.inst.graph.n, self.inst.k
-        closed, nbrs, classes = self._closed, self._nbrs, self._size_classes
+        g, k = self.inst.graph, self.inst.k
+        n, closed, nbrs, classes = g.n, g.closed_masks, g.closed, self._size_classes
         limit = SEARCH_NODES
 
         def step(f1, f2, n1, n2, c1, c2, b1, b2):

@@ -52,11 +52,9 @@ def encode_detection(g: Graph, x: Sequence[int],
                      y: Sequence[int]) -> list[list[int]]:
     """Detection clauses: for each v, y_v <-> OR_{u in N1+(v)} x_u."""
     clauses: list[list[int]] = []
-    for v in range(g.n):
-        closed = sorted((v, *g.adjacency[v]))
+    for v, closed in enumerate(g.closed):
         clauses.append([-y[v]] + [x[u] for u in closed])
-        for u in closed:
-            clauses.append([-x[u], y[v]])
+        clauses.extend([-x[u], y[v]] for u in closed)
     return clauses
 
 

@@ -7,6 +7,7 @@ numbering is deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -45,6 +46,20 @@ class Graph:
             raise KeyError(f"unknown node label {label!r}") from None
 
     @cached_property
+    def closed(self) -> tuple[tuple[int, ...], ...]:
+        """N[v] for each node v, as an ascending node tuple."""
+        return tuple(tuple(sorted((v, *nb))) for v, nb in enumerate(self.adjacency))
+
+    @cached_property
+    def closed_masks(self) -> tuple[int, ...]:
+        """N[v] for each node v, as a node bitmask."""
+        masks = [0] * self.n
+        for v, nb in enumerate(self.closed):
+            for u in nb:
+                masks[v] |= 1 << u
+        return tuple(masks)
+
+    @cached_property
     def _label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -62,6 +77,9 @@ def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]],
         labels = tuple(str(i) for i in range(n))
     elif len(labels) != n:
         raise ValueError("labels length must equal n")
+    elif len(set(labels)) < n:
+        raise ValueError(
+            f"duplicate node label {Counter(labels).most_common(1)[0][0]!r}")
     edges = set()
     for u, v in edge_pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -135,8 +153,6 @@ def _parse_edgelist(stream) -> Graph:
             raise GraphParseError(
                 f"expected two node tokens, got {len(tokens)}", lineno)
         pairs.append((_node(index, tokens[0]), _node(index, tokens[1])))
-    if not index:
-        raise GraphParseError("empty graph")
     return build_graph(len(index), pairs, tuple(index))
 
 
@@ -190,6 +206,15 @@ def _parse_mtx(stream) -> Graph:
     for i in range(1, declared[0] + 1):
         _node(index, str(i))
     return build_graph(len(index), pairs, tuple(index))
+
+
+def mask_to_set(mask: int) -> frozenset[int]:
+    """The nodes of a node bitmask."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return frozenset(out)
 
 
 def closed_neighborhood(g: Graph, v: int) -> set[int]:

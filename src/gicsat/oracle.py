@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .encoder import EncodedInstance
-from .graph import Graph, closed_neighborhood_set
+from .graph import Graph, closed_neighborhood_set, mask_to_set
 from .satcore import enumerate_models_projected
 
 EXHAUSTIVE_MAX_NODES = 16  # min_gics_exhaustive tries up to 2^16 sensor sets
@@ -46,30 +46,9 @@ def signature(g: Graph, sensors: Iterable[int], failed: Iterable[int]) -> Signat
                      sigma1=frozenset(closed_neighborhood_set(g, failed) & sensors))
 
 
-def closed_masks(g: Graph) -> list[int]:
-    """N[v] as a node bitmask, for each node v."""
-    masks = []
-    for v in range(g.n):
-        m = 1 << v
-        for u in g.adjacency[v]:
-            m |= 1 << u
-        masks.append(m)
-    return masks
-
-
 def failure_set_count(n: int, k: int) -> int:
     """Number of node subsets of size at most k."""
     return sum(comb(n, i) for i in range(k + 1))
-
-
-def mask_to_set(mask: int) -> frozenset[int]:
-    """The nodes of a node bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 def find_signature_collision(g: Graph, sensors: Iterable[int], k: int,
@@ -86,12 +65,11 @@ def find_signature_collision(g: Graph, sensors: Iterable[int], k: int,
     for v in set(sensors):
         g._check_node(v)
         smask |= 1 << v
-    closed = closed_masks(g)
+    closed = g.closed_masks
     seen: dict[tuple[int, int], int] = {}
     for size in range(k + 1):
         for combo in combinations(range(g.n), size):
-            umask = 0
-            nmask = 0
+            umask = nmask = 0
             for v in combo:
                 umask |= 1 << v
                 nmask |= closed[v]

@@ -12,9 +12,9 @@ from gicsat import definability
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.gismo import GismoConfig, run_gismo
-from gicsat.graph import (build_graph, closed_neighborhood_set, parse_graph,
-                          parse_graph_file)
-from gicsat.oracle import closed_masks, is_gics, mask_to_set
+from gicsat.graph import (build_graph, closed_neighborhood_set, mask_to_set,
+                          parse_graph, parse_graph_file)
+from gicsat.oracle import is_gics
 from gicsat.satcore import (CdclSolver, CnfFormula, SolveStatus,
                             enumerate_models_projected)
 
@@ -498,8 +498,8 @@ def unpruned_search(inst, defining, target, pick=fewest_neighbours):
     pairs visited."""
     g, k = inst.graph, inst.k
     n = g.n
-    closed = closed_masks(g)
     nbrs = [sorted((u, *g.adjacency[u])) for u in range(n)]
+    closed = [sum(1 << w for w in nb) for nb in nbrs]
     bits = sum(1 << z for z in defining)
     dx, dy = bits >> 1 & (1 << n) - 1, bits >> n + 1
     v = (target - 1) % n

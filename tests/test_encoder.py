@@ -258,7 +258,7 @@ def test_projected_model_count_k2():
     assert len(got) == 16  # sum of C(5,i) for i <= 2
 
 
-def closed_masks(g):
+def closed_sets(g):
     return [{v, *g.adjacency[v]} for v in range(g.n)]
 
 
@@ -272,7 +272,7 @@ def test_functional_definedness_random():
         g = build_graph(n, edges)
         k = rng.randint(1, n)
         inst = encode_instance(g, k)
-        masks = closed_masks(g)
+        closed = closed_sets(g)
         rows = enumerate_models_projected(inst.formula, inst.z_vars)
         assert len(rows) == sum(comb(n, i) for i in range(k + 1))
         for row in rows:
@@ -280,7 +280,7 @@ def test_functional_definedness_random():
             failed = {v for v in range(n) if val[inst.x[v]]}
             assert len(failed) <= k
             for v in range(n):
-                assert val[inst.y[v]] == bool(failed & masks[v])
+                assert val[inst.y[v]] == bool(failed & closed[v])
 
 
 def test_projection_monotone_in_k():

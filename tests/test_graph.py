@@ -2,9 +2,11 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gicsat.graph import (GraphParseError, build_graph, closed_neighborhood,
-                          closed_neighborhood_set, parse_graph,
+                          closed_neighborhood_set, mask_to_set, parse_graph,
                           parse_graph_file)
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
@@ -129,6 +131,47 @@ def test_parse_mtx_keeps_declared_nodes(text, labels):
     g = parse_graph(io.StringIO(text), fmt="mtx")
     assert g.n == len(labels)
     assert g.labels == labels
+
+
+def test_build_graph_rejects_duplicate_labels():
+    # a repeated label would leave one of its nodes unreachable by index_of
+    with pytest.raises(ValueError, match="duplicate node label 'a'"):
+        build_graph(3, [(0, 1), (1, 2)], ["a", "a", "b"])
+
+
+def check_closed_tables(g):
+    """The N[v] tables agree with the set-based closed_neighborhood."""
+    assert len(g.closed) == len(g.closed_masks) == g.n
+    for v in range(g.n):
+        assert g.closed[v] == tuple(sorted(closed_neighborhood(g, v)))
+        assert mask_to_set(g.closed_masks[v]) == closed_neighborhood(g, v)
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """Edges, self-loops included, among the first n nodes, then up to three
+    isolated nodes."""
+    n = draw(st.integers(1, 12))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    return build_graph(n + draw(st.integers(0, 3)), edges)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(graphs_with_isolated_nodes())
+@example(build_graph(1, []))
+@example(build_graph(3, [(2, 0), (0, 0)]))
+def test_closed_tables_match_closed_neighborhood(g):
+    check_closed_tables(g)
+
+
+def test_closed_tables_mtx_declared_nodes_without_entries():
+    g = parse_graph(io.StringIO("6 6 3\n4 2\n2 5\n5 4\n"), fmt="mtx")
+    assert g.labels == ("4", "2", "5", "1", "3", "6")
+    check_closed_tables(g)
+    for label in "136":
+        v = g.index_of(label)
+        assert g.closed[v] == (v,) and g.closed_masks[v] == 1 << v
 
 
 def test_adjacency_sorted_and_symmetric():
