@@ -14,8 +14,7 @@ from .satcore import (CdclSolver, CnfFormula, ModelCapExceeded, SolveOutcome,
 from .encoder import (EncodedInstance, encode_cardinality, encode_detection,
                       encode_instance)
 from .definability import DefinabilityContext, QueryAnswer
-from .gismo import (GismoConfig, GisResult, GroupLog, VerifyReport, run_gismo,
-                    verify_result)
+from .gismo import GismoConfig, GisResult, GroupLog, run_gismo
 from .oracle import (EnumerationBudgetError, Signature, failure_set_count,
                      find_signature_collision, is_gics, is_gis_bruteforce,
                      min_gics_exhaustive, projected_models, signature)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import oracle
 from .definability import DefinabilityContext, QueryAnswer
 from .encoder import EncodedInstance
 from .satcore import SolveStatus
@@ -125,31 +124,3 @@ def run_gismo(inst: EncodedInstance, cfg: GismoConfig | None = None,
         total_conflicts=sum(a.conflicts_used for a in answers),
         total_search_nodes=sum(a.search_nodes for a in answers))
 
-
-@dataclass(frozen=True)
-class VerifyReport:
-    is_gis: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-    removable_groups: tuple[int, ...]
-    model_count: int
-
-    @property
-    def minimal(self) -> bool:
-        return self.is_gis and not self.removable_groups
-
-
-def verify_result(inst: EncodedInstance, res: GisResult) -> VerifyReport:
-    """Desk-scale check of a run's output against enumerated projected models.
-
-    Confirms the selected groups form a grouped independent support and
-    reports every single group whose removal would preserve that property
-    (none expected when no query exhausted its budget).
-    """
-    models = oracle.projected_models(inst)
-    witness = oracle.find_gis_collision(inst, res.sensor_set, models)
-    removable = [v for v in sorted(res.sensor_set)
-                 if oracle.find_gis_collision(
-                     inst, res.sensor_set - {v}, models) is None]
-    return VerifyReport(is_gis=witness is None, witness=witness,
-                        removable_groups=tuple(removable),
-                        model_count=len(models))

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -17,6 +18,7 @@ FIG1 = os.path.join(DATA, "fig1.edges")
 SINGLE = os.path.join(DATA, "single.edges")
 K2 = os.path.join(DATA, "k2.edges")
 GNP30 = os.path.join(DATA, "gnp30.edges")
+GNP50 = os.path.join(DATA, "gnp50.edges")
 
 
 def run_cli(args):
@@ -329,6 +331,38 @@ def test_verify_unknown_sensor_label(capsys):
     capsys.readouterr()
 
 
+def comma_graph(tmp_path):
+    path = tmp_path / "comma.edges"
+    path.write_text("a,b c\nc d\n")  # one node is labelled a,b
+    return str(path)
+
+
+def test_order_names_a_label_with_a_comma_csv_quoted(tmp_path, capsys):
+    path = comma_graph(tmp_path)
+    assert run_cli(["solve", path, "--k", "1", "--order", 'd,c,"a,b"']) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["config"]["order"] == ["d", "c", "a,b"]
+    assert rec["sensors"] == ["a,b", "c"]
+
+
+def test_sensors_name_a_label_with_a_comma_csv_quoted(tmp_path, capsys):
+    # solve's sensors above, written as one CSV row as the README shows
+    row = io.StringIO()
+    csv.writer(row, lineterminator="").writerow(["a,b", "c"])
+    assert row.getvalue() == '"a,b",c'
+    assert run_cli(["verify", comma_graph(tmp_path), "--k", "1",
+                    "--sensors", row.getvalue()]) == 0
+    assert capsys.readouterr().out.startswith("PASS:")
+
+
+@pytest.mark.parametrize("option", ["--sensors", "--order"])
+def test_label_list_with_a_line_break_is_usage_error(capsys, option):
+    command = "verify" if option == "--sensors" else "solve"
+    assert run_cli([command, FIG1, "--k", "1", option, "a\nc"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"gicsat: error: {option}: ")
+
+
 def test_verify_past_the_enumeration_budget_is_resource_limit(tmp_path, capsys):
     # a 2,100-node path at k=2 has 2,206,051 failure sets, over the 2,000,000
     # that find_signature_collision enumerates; it refuses before enumerating
@@ -375,6 +409,19 @@ def test_bench_end_to_end(tmp_path, capsys):
     assert report["par2"] < 120
 
 
+def test_bench_verifies_under_the_verify_budget(tmp_path, capsys):
+    # 251,176 failure sets, within the 2,000,000 that `gicsat verify` scans,
+    # so bench checks the placement instead of recording null
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{GNP50}\n")
+    report_path = tmp_path / "report.json"
+    assert run_cli(["bench", str(manifest), "--k", "4", "--time-limit", "120",
+                    "--output", str(report_path)]) == 0
+    capsys.readouterr()
+    (record,) = json.loads(report_path.read_text())["records"]
+    assert record["status"] == "solved" and record["verified"] is True
+
+
 def test_bench_skips_k_above_node_count(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"{K2}\n")
@@ -392,7 +439,7 @@ def test_bench_skips_k_above_node_count(tmp_path, capsys):
 
 def test_bench_timeout_scores_double_limit(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text(f"{os.path.join(DATA, 'gnp50.edges')}\n")
+    manifest.write_text(f"{GNP50}\n")
     report_path = tmp_path / "report.json"
     rc = run_cli(["bench", str(manifest), "--k", "2", "--time-limit", "0.05",
                   "--output", str(report_path)])

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
-from gicsat.gismo import (GismoConfig, GisResult, group_order, run_gismo,
-                          verify_result)
+from gicsat.gismo import GismoConfig, group_order, run_gismo
 from gicsat.graph import build_graph, parse_graph, parse_graph_file
 from gicsat.oracle import (is_gics, is_gis_bruteforce, min_gics_exhaustive,
                            projected_models, signature)
@@ -34,13 +33,6 @@ def random_instance(rng, n_range=(2, 7), k_max=3):
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if rng.random() < rng.choice([0.3, 0.6])])
     return encode_instance(g, rng.randint(1, min(k_max, n)))
-
-
-def fake_result(nodes):
-    return GisResult(sensor_set=frozenset(nodes),
-                     per_group_log=(), budget_exhaustions=0,
-                     total_queries=0, total_conflicts=0,
-                     total_search_nodes=0)
 
 
 # ---- the worked example --------------------------------------------------------
@@ -111,6 +103,14 @@ def table_gismo(inst, node_order, probes="y-first"):
     return selected
 
 
+def assert_minimal_gis(inst, sensors):
+    """The truth table's verdict: a GIS, and no single group is removable."""
+    models = projected_models(inst)
+    assert is_gis_bruteforce(inst, sensors, models)
+    assert not [v for v in sensors
+                if is_gis_bruteforce(inst, sensors - {v}, models)]
+
+
 def test_fig1_input_order_matches_independent_minimizer():
     g = fig1()
     inst = encode_instance(g, 1)
@@ -119,8 +119,7 @@ def test_fig1_input_order_matches_independent_minimizer():
     expected = table_gismo(inst, explicit)
     assert res.sensor_set == frozenset(expected)
     assert is_gics(g, res.sensor_set, 1)
-    report = verify_result(inst, res)
-    assert report.is_gis and report.minimal
+    assert_minimal_gis(inst, res.sensor_set)
 
 
 def test_random_instances_match_independent_minimizer():
@@ -172,7 +171,7 @@ def test_drawn_graphs_match_independent_minimizer(run):
     assert res.sensor_set == frozenset(table_gismo(inst, order, probes))
     assert res.budget_exhaustions == 0
     assert is_gics(g, res.sensor_set, k)
-    assert verify_result(inst, res).minimal
+    assert_minimal_gis(inst, res.sensor_set)
     assert_witnesses_certify(g, k, res)
 
 
@@ -255,21 +254,6 @@ def test_run_needs_the_context_of_its_instance():
         run_gismo(encode_instance(g, 2), ctx=ctx)
 
 
-# ---- verify_result ---------------------------------------------------------------
-
-def test_verify_result_examples():
-    g = fig1()
-    inst = encode_instance(g, 1)
-    ok = verify_result(inst, fake_result({g.index_of("a"), g.index_of("c")}))
-    assert ok.is_gis and ok.model_count == 6
-    bad = verify_result(inst, fake_result({g.index_of("a")}))
-    assert not bad.is_gis
-    assert bad.witness is not None
-    full = verify_result(inst, fake_result(range(g.n)))
-    assert full.is_gis
-    assert full.removable_groups  # the full set is a GIS but far from minimal
-
-
 # ---- always a GIS, always a GICS (Lemma 1 + Lemma 3 shape) -------------------------
 
 def test_output_is_gis_and_gics_random():
@@ -277,12 +261,8 @@ def test_output_is_gis_and_gics_random():
     for _ in range(15):
         inst = random_instance(rng)
         res = run_gismo(inst, GismoConfig(budget=HUGE))
-        models = projected_models(inst)
-        assert is_gis_bruteforce(inst, res.sensor_set, models)
         assert is_gics(inst.graph, res.sensor_set, inst.k)
-        # unbounded budget: set-minimal
-        for v in res.sensor_set:
-            assert not is_gis_bruteforce(inst, res.sensor_set - {v}, models)
+        assert_minimal_gis(inst, res.sensor_set)  # unbounded budget: set-minimal
 
 
 def test_output_is_gis_even_with_tiny_budget(engine_only):

@@ -1,3 +1,4 @@
+import ast
 import io
 import random
 from itertools import combinations
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import gicsat
 from gicsat.cli import TRUTH_TABLE_LIMIT
 from gicsat.encoder import encode_instance
 from gicsat.graph import build_graph, parse_graph, parse_graph_file
@@ -227,3 +229,25 @@ def test_truth_table_is_one_row_per_failure_set(path):
         rows = projected_models(inst, cap=failure_set_count(g.n, k))
         assert len(rows) == len(expected) == failure_set_count(g.n, k)
         assert set(rows) == expected
+
+
+# ---- independence: no algorithm module imports its checker ------------------------
+
+def imported_names(tree):
+    """Every dotted name an import statement in the tree can bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["graph", "encoder", "satcore",
+                                    "definability", "gismo"])
+def test_algorithm_modules_never_import_the_oracle(module):
+    path = Path(gicsat.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [name for name in imported_names(tree)
+                if "oracle" in name.split(".")]

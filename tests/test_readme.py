@@ -13,5 +13,4 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["(1, 6)", "['c', 'd']"]
     assert lines[2].split()[0] in ("c", "d")  # a kept sensor and its witness
-    assert lines[3].startswith("VerifyReport(is_gis=True, witness=None, "
-                               "removable_groups=()")
+    assert lines[3] == "True []"  # a GIS, and no sensor is removable
