@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -309,7 +310,10 @@ def cmd_verify(args) -> int:
 
 
 def _labels(g: Graph, nodes) -> str:
-    return ",".join(g.labels[v] for v in sorted(nodes))
+    """The nodes' labels as one CSV row, quoted as --sensors reads them."""
+    row = io.StringIO()
+    csv.writer(row, lineterminator="").writerow(g.labels[v] for v in sorted(nodes))
+    return row.getvalue()
 
 
 def par2_score(records: list[dict], time_limit: float) -> float:

@@ -5,7 +5,10 @@ x_v (node v fails at t0) and y_v (a sensor at v would be red at t1):
 
   * detection: y_v  <->  OR_{u in N1+(v)} x_u, clausified as one long
     clause (-y_v, x_u ...) plus one binary (-x_u, y_v) per neighbor;
-  * cardinality: sum x_v <= k, as a totalizer over x in index order.
+  * cardinality: sum x_v <= k, as a totalizer over x in index order,
+    with upward and overflow clauses and one r_1 clause per inner node
+    (r_1 <-> a_1 or b_1), so that propagation counts an all-false subtree
+    as zero.
 
 Variable numbering is deterministic: x_1..x_n, then y_1..y_n, then the
 totalizer's outputs.  Each node owns the two-variable group {x_v, y_v};
@@ -65,15 +68,22 @@ def encode_cardinality(vars_: Sequence[int], k: int,
     A balanced binary tree splits vars_ in index order; a leaf's one output
     is its input.  An inner node over s inputs has outputs r_1..r_min(s, k),
     r_j reading "at least j inputs of this subtree are true", and from its
-    children's outputs a_i, b_j (a_0 and b_0 meaning true) takes the upward
-    clauses (-a_i, -b_j, r_(i+j)) for 1 <= i+j <= min(s, k) and the overflow
-    clauses (-a_i, -b_j) for i+j == k+1.  The root has no outputs, only its
-    overflow clauses.  Any input assignment with at most k true inputs
-    extends to a satisfying output assignment, and unit propagation alone
-    sets every other input false once k inputs are true.  A true input
+    children's outputs a_i, b_j (a_0 and b_0 meaning true) takes three
+    kinds of clause: the upward clauses (-a_i, -b_j, r_(i+j)) for
+    1 <= i+j <= min(s, k), the overflow clauses (-a_i, -b_j) for
+    i+j == k+1, and one r_1 clause (-r_1, a_1, b_1).  The root has no
+    outputs, only its overflow clauses.  Any input assignment with at most
+    k true inputs extends to a satisfying output assignment, each output
+    set to its subtree's exact count, so the r_1 clauses admit no fewer
+    input assignments.  Unit propagation alone sets every other input
+    false once k inputs are true, and, with the r_1 clauses, sets r_1 of
+    every subtree to the OR of its inputs once they are all assigned, so
+    an all-false subtree counts zero without a decision.  A true input
     climbs a path of depth about log2(n), not a chain through every later
-    input.  Auxiliaries are allocated children first, so the layout is
-    deterministic; see cardinality_clause_count and cardinality_aux_count
+    input.  Of the downward clauses (r_j -> a_i or b_(j-i)) only this one
+    per node is kept: the full set costs encode time for little more
+    propagation.  Auxiliaries are allocated children first, so the layout
+    is deterministic; see cardinality_clause_count and cardinality_aux_count
     for the sizes.  Returns (clauses, auxiliary vars); both are empty when
     k == len(vars_), the constraint being vacuous.
     """
@@ -100,6 +110,8 @@ def encode_cardinality(vars_: Sequence[int], k: int,
                                    else left + [r[i - 1]])
                 elif i + j == k + 1:  # i, j >= 1: no child counts past k
                     clauses.append(left + [-b[j - 1]])
+        if r:  # r_1 -> a_1 or b_1: a subtree of false inputs counts zero
+            clauses.append([-r[0], a[0], b[0]])
         return r
 
     outputs(0, n, root=True)
@@ -112,6 +124,7 @@ def _totalizer_size(n: int, k: int) -> tuple[int, int]:
     With p, q a node's children's output counts and e = max(0, p+q-k) its
     pairs i+j == k+1 (the overflow clauses), an inner node's upward clauses
     are its (p+1)(q+1) - 1 pairs minus the e(e+1)/2 with i+j > min(s, k).
+    Every inner node but the root adds one r_1 clause.
     """
     @lru_cache(maxsize=None)  # the balanced split has <= 2 sizes per level
     def size(s: int, root: bool = False) -> tuple[int, int]:
@@ -122,8 +135,8 @@ def _totalizer_size(n: int, k: int) -> tuple[int, int]:
         e = max(0, p + q - k)
         if root:
             clauses, aux = e, 0
-        else:
-            clauses, aux = (p + 1) * (q + 1) - 1 - e * (e + 1) // 2 + e, min(s, k)
+        else:  # upward, overflow and the one r_1 clause
+            clauses, aux = (p + 1) * (q + 1) - e * (e + 1) // 2 + e, min(s, k)
         for half in (left, right):
             c, a = size(half)
             clauses, aux = clauses + c, aux + a

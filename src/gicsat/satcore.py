@@ -13,7 +13,9 @@ decides the projected variables first, each one true, so that the
 decisions on them imply the whole projected row, and blocks each model by
 the negation of those decisions alone.  Each such clause asserts at once,
 so the search backjumps instead of restarting at the root, with no
-conflict analysis and no learned clause per model.  solve and
+conflict analysis and no learned clause per model.  A cursor per decision
+level finds the next projected variable to decide without rescanning the
+ones that the levels below already assigned.  solve and
 enumerate_projected share one CDCL loop (CdclSolver._search).
 
 Per-literal state lives in flat lists indexed by the signed literal itself
@@ -132,6 +134,9 @@ class CdclSolver:
     first among equals.  Backtracking rebuilds the heap from the live
     entries once it holds more than 2n entries.
 
+    `cursor[lvl]` is where the search's scan of its decision order stood
+    at decision level lvl; see _search.
+
     `decisions` (branch variables picked; assumption levels are not
     counted) and `propagations` (literals dequeued by unit propagation) are
     cumulative over the solver's life.
@@ -158,6 +163,7 @@ class CdclSolver:
         self.seen = bytearray(n + 1)  # _analyze's marks, all clear between calls
         self.decisions = 0
         self.propagations = 0
+        self.cursor: list[int] = [0]
         self.learned_ids: list[int] = []
         self.num_original = 0
         for clause in formula.clauses:  # normalised by CnfFormula.add_clause
@@ -225,6 +231,7 @@ class CdclSolver:
                 in_heap[v] = act
         del trail[lim:]
         del self.trail_lim[lvl:]
+        del self.cursor[lvl + 1:]
         self.qhead = min(self.qhead, lim)
         if len(heap) > 2 * self.num_vars:  # shed the stale entries
             heap[:] = [(-act, v) for v, act in enumerate(in_heap)
@@ -483,14 +490,24 @@ class CdclSolver:
 
         Past the assumptions, the search decides the first unassigned
         variable of order, true, and lets VSIDS pick only once order is all
-        assigned.  With on_model None the first model ends the search.
-        Otherwise on_model is called at each model; it blocks the model and
-        asserts a literal or makes the database UNSAT, and the search goes
-        on until UNSAT.
+        assigned.  It finds that variable from a cursor, not by a scan of
+        all of order: cursor[lvl] is the order position found by the scan
+        at decision level lvl, and every position before it is assigned at
+        level lvl or below.  So the scan at a level starts where the one
+        below it stopped, and _cancel_until(lvl) keeps cursor[:lvl + 1].
+        Assumption levels make no scan and repeat the entry below them, so
+        that the list stays indexed by level.
+
+        With on_model None the first model ends the search.  Otherwise
+        on_model is called at each model; it blocks the model and asserts a
+        literal or makes the database UNSAT, and the search goes on until
+        UNSAT.
         """
         self._cancel_until(0)
         if not self.ok:
             return SolveOutcome(SolveStatus.UNSAT, None, 0)
+        cursor = self.cursor = [0]
+        value = self.value
 
         conflicts = 0
         restart_count = 0
@@ -515,9 +532,15 @@ class CdclSolver:
                         next_lit = p
                         break
                 if next_lit == 0 and len(self.trail) < self.num_vars:
-                    vals = list(map(self.value.__getitem__, order))
-                    if None in vals:
-                        next_lit = order[vals.index(None)]
+                    lvl = len(self.trail_lim)
+                    i = cursor[-1]
+                    while i < len(order) and value[order[i]] is not None:
+                        i += 1
+                    if len(cursor) < lvl:  # assumption levels repeat the one below
+                        cursor += [cursor[-1]] * (lvl - len(cursor))
+                    cursor[lvl:] = (i,)
+                    if i < len(order):
+                        next_lit = order[i]
                     else:
                         v = self._pick_branch_var()
                         next_lit = v if self.phase[v] else -v

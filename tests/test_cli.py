@@ -32,9 +32,10 @@ def test_encode_sidecar_reports_clause_breakdown(tmp_path, capsys):
     assert run_cli(["encode", FIG1, "--k", "1", "--output", str(out)]) == 0
     sidecar = json.loads((tmp_path / "fig1.json").read_text())
     assert sidecar["detection_clauses"] == 22
-    # totalizer for n=5, k=1: nodes over 2 and 3 inputs (3 clauses each),
-    # the 3-node's child over 2 (3) and the root's overflow clause (1)
-    assert sidecar["cardinality_clauses"] == 10
+    # totalizer for n=5, k=1: nodes over 2 and 3 inputs (3 upward and
+    # overflow clauses and 1 r_1 clause each), the 3-node's child over 2
+    # (3 + 1) and the root's overflow clause (1)
+    assert sidecar["cardinality_clauses"] == 13
     assert sidecar["n"] == 5 and sidecar["m"] == 6 and sidecar["k"] == 1
     assert set(sidecar["vars"]) == {"a", "b", "c", "d", "e"}
     with open(out) as fp:
@@ -353,6 +354,18 @@ def test_sensors_name_a_label_with_a_comma_csv_quoted(tmp_path, capsys):
     assert run_cli(["verify", comma_graph(tmp_path), "--k", "1",
                     "--sensors", row.getvalue()]) == 0
     assert capsys.readouterr().out.startswith("PASS:")
+
+
+@pytest.mark.parametrize("sensors,first_line,rc", [
+    ('"a,b",c', 'PASS: {"a,b",c} identifies all failure sets of size <= 1', 0),
+    ("d", 'FAIL: failure sets {} and {"a,b"} have identical signatures', 1)],
+    ids=["pass", "fail"])
+def test_verify_writes_each_set_as_one_csv_row(tmp_path, capsys, sensors,
+                                               first_line, rc):
+    # a set printed with bare commas would read {a,b,c}: three sensors
+    assert run_cli(["verify", comma_graph(tmp_path), "--k", "1",
+                    "--sensors", sensors]) == rc
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 @pytest.mark.parametrize("option", ["--sensors", "--order"])

@@ -117,15 +117,19 @@ def test_cardinality_counts_match_closed_forms():
             assert len(aux) == cardinality_aux_count(n, k)
 
 
-def test_cardinality_never_larger_than_sequential_counter():
+def test_cardinality_upward_part_never_larger_than_sequential_counter():
     # the sequential counter (Sinz, CP 2005) takes k+1 + (n-2)(2k+1) clauses
-    # and (n-1)k registers
+    # and (n-1)k registers; the totalizer's upward and overflow clauses never
+    # take more.  Its n-2 r_1 clauses, one per inner node but the root, come
+    # on top, so the total can exceed the counter: 286 against 243 at n=50,
+    # k=2
     for n in range(2, 201):
         for k in range(1, n):
-            assert cardinality_clause_count(n, k) <= k + 1 + (n - 2) * (2 * k + 1)
+            assert cardinality_clause_count(n, k) - (n - 2) \
+                <= k + 1 + (n - 2) * (2 * k + 1)
             assert cardinality_aux_count(n, k) <= (n - 1) * k
     assert (cardinality_clause_count(40, 4), cardinality_aux_count(40, 4)) \
-        == (288, 112)
+        == (326, 112)
 
 
 def unit_propagate(clauses, lits):
@@ -161,6 +165,45 @@ def test_cardinality_propagates_the_bound(n):
             assert all(-x in implied for x in xs if x not in true)
         for true in itertools.combinations(xs, k + 1):
             assert unit_propagate(clauses, true) is None
+
+
+def totalizer_r1(xs, k, aux):
+    """(r_1, inputs) of each inner node but the root, by the documented
+    layout: a balanced split in index order, outputs allocated children first."""
+    nodes, fresh = [], iter(aux)
+
+    def walk(lo, hi, root=False):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            walk(lo, mid)
+            walk(mid, hi)
+            if not root:
+                outputs = [next(fresh) for _ in range(min(hi - lo, k))]
+                nodes.append((outputs[0], set(xs[lo:hi])))
+
+    walk(0, len(xs), root=True)
+    assert next(fresh, None) is None
+    return nodes
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cardinality_propagates_r1_as_or_of_its_inputs(n):
+    # every admitted input assignment, by propagation alone, sets each inner
+    # node's r_1 ("at least one input true") exactly: true over a true input,
+    # false over all-false inputs, which then need no decision
+    for k in range(1, n):
+        f = CnfFormula()
+        xs = f.new_vars(n)
+        clauses, aux = encode_cardinality(xs, k, f.new_var)
+        nodes = totalizer_r1(xs, k, aux)
+        assert len(nodes) == n - 2
+        for m in range(k + 1):
+            for true in map(set, itertools.combinations(xs, m)):
+                implied = unit_propagate(clauses,
+                                         [x if x in true else -x for x in xs])
+                assert implied is not None
+                for r1, inputs in nodes:
+                    assert (r1 if true & inputs else -r1) in implied
 
 
 def test_cardinality_rejects_bad_k():

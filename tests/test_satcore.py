@@ -552,7 +552,20 @@ def test_failure_set_enumeration_learns_nothing(name, k):
     assert eng.learned_ids == []
     assert len(eng.heap) <= eng.num_vars
     if (name, k) == ("fig1.edges", 2):
-        assert (eng.decisions, eng.propagations) == (29, 150)
+        assert (eng.decisions, eng.propagations) == (22, 144)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.edges")))
+def test_k1_enumeration_decides_no_totalizer_output(name):
+    # at k=1 each row but the empty one is one decision x_v, and unit
+    # propagation completes the row: the totalizer's r_1 clauses set every
+    # output of an all-false subtree, so none is left to decide
+    g = parse_graph_file(str(DATA / name))
+    inst = encode_instance(g, 1)
+    eng = CdclSolver(inst.formula)
+    rows = eng.enumerate_projected(inst.z_vars, TRUTH_TABLE_LIMIT)
+    assert len(rows) == g.n + 1
+    assert eng.decisions == g.n
 
 
 # ---- DIMACS -------------------------------------------------------------------
