@@ -22,9 +22,7 @@ Per-literal state lives in flat lists indexed by the signed literal itself
 (see CdclSolver).  A two-literal clause, original, learned or blocking, is
 kept off the watch lists: each of its literals lists the other one with
 the clause id, and unit propagation walks these implication lists before
-the watch lists of each literal it dequeues.  A binary clause that implies
-a literal is rewritten with that literal first, so that every reason
-clause starts with the literal it implied.
+the watch lists of each literal it dequeues.
 
 Everything here is deterministic: no randomness, stable tie-breaking by
 variable index, insertion-ordered containers only.
@@ -122,9 +120,7 @@ class CdclSolver:
     two-literal clause [a, b] is in no watch list: `bins[a]` holds (b, ci)
     and `bins[b]` holds (a, ci), so when a becomes false b is implied from
     a's list alone.  Every clause, binary or not, stays in `clauses` under
-    its id.  The first literal of a reason clause is the literal it
-    implied, as `_analyze` expects; when a binary clause implies a literal,
-    `_propagate` writes it back in that order.
+    its id.
 
     The branching heap holds (-activity, v) entries and is pruned lazily.
     `in_heap[v]` is the activity of v's one live entry, None when v has
@@ -264,9 +260,6 @@ class CdclSolver:
                 level[v] = lvl
                 reason[v] = ci
                 trail.append(other)
-                c = clauses[ci]  # the implied literal first, as a reason
-                c[0] = other
-                c[1] = neg
             ws = watches[neg]
             if not ws:
                 continue
@@ -319,15 +312,13 @@ class CdclSolver:
             activity[v] *= 1e-100
             in_heap[v] = activity[v] if value[v] is None else None
         self.var_inc *= 1e-100
-        heap = self.heap  # rebuilt in place: _analyze holds a reference
-        heap[:] = [(-activity[v], v) for v in range(1, self.num_vars + 1)
-                   if value[v] is None]
-        heap.sort()
+        self.heap = sorted((-activity[v], v) for v in range(1, self.num_vars + 1)
+                           if value[v] is None)
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
-        clauses, trail, level = self.clauses, self.trail, self.level
-        value, activity, in_heap = self.value, self.activity, self.in_heap
-        heap, reason, seen, var_inc = self.heap, self.reason, self.seen, self.var_inc
+        """First-UIP learning, resolving each reason on p wherever p stands in it."""
+        trail, level, reason, seen = self.trail, self.level, self.reason, self.seen
+        clauses, activity, var_inc = self.clauses, self.activity, self.var_inc
         learnt: list[int] = [0]
         cur_level = len(self.trail_lim)
         counter = 0
@@ -336,19 +327,15 @@ class CdclSolver:
         c = clauses[confl]
         while True:
             assert c is not None
-            for pos in range(0 if p == 0 else 1, len(c)):
-                q = c[pos]
+            for q in c:
                 v = abs(q)
-                if not seen[v] and level[v] > 0:
+                if q != p and not seen[v] and level[v] > 0:
                     seen[v] = 1
                     act = activity[v] + var_inc  # VSIDS bump
                     activity[v] = act
                     if act > 1e100:
                         self._rescale()
                         var_inc = self.var_inc
-                    elif value[v] is None:
-                        heappush(heap, (-act, v))
-                        in_heap[v] = act
                     if level[v] >= cur_level:
                         counter += 1
                     else:

@@ -8,7 +8,7 @@ import pytest
 from gicsat.encoder import (cardinality_aux_count, cardinality_clause_count,
                             encode_cardinality, encode_detection,
                             encode_instance)
-from gicsat.graph import build_graph, parse_graph
+from gicsat.graph import Graph, build_graph, parse_graph
 from gicsat.satcore import CnfFormula, enumerate_models_projected
 
 FIG1_EDGES = "a b\na d\nb c\nb e\nc e\nd e\n"
@@ -223,6 +223,8 @@ def test_encode_instance_rejects_bad_k():
         encode_instance(g, 0)
     with pytest.raises(ValueError):
         encode_instance(g, 6)
+    with pytest.raises(ValueError, match="graph has no nodes"):
+        encode_instance(Graph(n=0, adjacency=(), labels=()), 1)
 
 
 def test_variable_numbering_deterministic():

@@ -114,6 +114,12 @@ def test_parse_mtx_node_overflow():
     "3 3 1\n0 1\n",       # indices are 1-based
     "3 3 1\n-1 2\n",
     "3 3 1\n1.0 2\n",
+    "3 3 1\n1\n",         # one token, no pair
+    # a bad size line, which the comment puts on line 2
+    "% size line second\n3 3\n",
+    "% size line second\n3 x 1\n",
+    "% size line second\n3 4 1\n",
+    "% size line second\n0 0 0\n",
 ])
 def test_parse_mtx_rejects_bad_index(text):
     with pytest.raises(GraphParseError) as err:
@@ -137,6 +143,23 @@ def test_build_graph_rejects_duplicate_labels():
     # a repeated label would leave one of its nodes unreachable by index_of
     with pytest.raises(ValueError, match="duplicate node label 'a'"):
         build_graph(3, [(0, 1), (1, 2)], ["a", "a", "b"])
+
+
+@pytest.mark.parametrize("edges,labels,message", [
+    ([(0, 1)], ["a", "b"], "labels length"),
+    ([(0, 3)], None, r"edge \(0,3\) out of range"),
+    ([(-1, 0)], None, "out of range"),
+])
+def test_build_graph_rejects_bad_labels_and_edges(edges, labels, message):
+    with pytest.raises(ValueError, match=message):
+        build_graph(3, edges, labels)
+
+
+def test_parse_graph_rejects_unknown_format_and_missing_size_line():
+    with pytest.raises(ValueError, match="unknown graph format 'gml'"):
+        parse_graph(io.StringIO("a b\n"), fmt="gml")
+    with pytest.raises(GraphParseError, match="missing Matrix Market size line"):
+        parse_graph(io.StringIO("% only a comment\n"), fmt="mtx")
 
 
 def check_closed_tables(g):

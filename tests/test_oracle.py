@@ -137,6 +137,9 @@ def test_budget_errors():
         min_gics_exhaustive(g, 1)
     with pytest.raises(EnumerationBudgetError):
         is_gics(g, range(20), 3, max_subsets=100)
+    for k in (0, 21):
+        with pytest.raises(ValueError, match=f"k={k} out of range 1..20"):
+            find_signature_collision(g, range(20), k)
 
 
 def test_is_gis_bruteforce_fig1():

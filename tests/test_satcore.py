@@ -180,11 +180,13 @@ def test_solve_models_verify_random():
 
 
 def test_solve_incremental_reuse():
-    # one context, many assumption probes; answers must match brute force
+    # one context, many assumption probes; answers must match brute force,
+    # and no search writes a binary clause once it is attached
     rng = random.Random(7)
     for _ in range(20):
         f = random_formula(rng, max_vars=7, max_clauses=25)
         eng = engine_factory()(f)
+        binaries = [(ci, list(c)) for ci, c in enumerate(eng.clauses) if len(c) == 2]
         for _ in range(12):
             vs = rng.sample(range(1, f.num_vars + 1),
                             rng.randint(0, min(3, f.num_vars)))
@@ -194,6 +196,7 @@ def test_solve_incremental_reuse():
             assert (got.status is SolveStatus.SAT) == (expect is not None)
             if got.status is SolveStatus.SAT:
                 assert check_model(f, got.model)
+            assert all(eng.clauses[ci] == c for ci, c in binaries)
 
 
 def test_budget_exhaustion_and_unsat_monotone():
@@ -226,6 +229,16 @@ def test_budget_validation():
     f.add_clause([1])
     with pytest.raises(ValueError):
         CdclSolver(f).solve(budget=0)
+
+
+@pytest.mark.parametrize("lit", [0, 2, -2])
+def test_unallocated_variables_are_rejected(lit):
+    f = CnfFormula(1)
+    f.add_clause([1])
+    with pytest.raises(ValueError, match="unallocated variable"):
+        CdclSolver(f).solve([lit])
+    with pytest.raises(ValueError, match="not allocated"):
+        enumerate_models_projected(f, [1, abs(lit)])
 
 
 def test_counters_repeat_and_are_pinned():
@@ -427,19 +440,39 @@ def test_enumeration_of_2cnf_matches_brute_force(drawn):
     assert set(rows) == expect
 
 
-def test_binary_reasons_lead_with_the_implied_literal():
-    # _analyze skips the first literal of each reason as the one implied,
-    # so [-4, 3] must read [3, -4] once it has implied 3
+def test_binary_implications_keep_their_clauses_as_attached():
+    # a binary clause is its reason wherever the implied literal stands in
+    # it: propagation writes no clause, and [-4, 3] still reads [-4, 3]
     f = CnfFormula(5)
     f.add_clauses([[-4, 3], [5, -4], [2, -3], [1, 2, 4]])
     eng = CdclSolver(f)
+    attached = [list(c) for c in eng.clauses]
     eng.trail_lim.append(0)
     eng._enqueue(4, None)
     assert eng._propagate() is None
     assert eng.trail == [4, 3, 5, 2]
-    assert eng.clauses[eng.reason[3]] == [3, -4]
-    for lit in eng.trail[1:]:
-        assert eng.clauses[eng.reason[abs(lit)]][0] == lit
+    assert eng.reason[3] == attached.index([-4, 3])
+    assert eng.clauses == attached
+
+
+@pytest.mark.parametrize("flip", [(), (3,), (4,), (3, 4)],
+                         ids=["attached", "3-swapped", "4-swapped", "both-swapped"])
+def test_analyze_resolves_a_binary_reason_in_either_order(flip):
+    # level 1 decides 1; level 2 decides 2, which implies 3 and 4 by binary
+    # reasons, and [-1, -3, -4] is the conflict.  With the reasons of flip
+    # stored swapped, learning must still resolve 4 and 3 away to the UIP 2
+    f = CnfFormula(4)
+    f.add_clauses([[-2, 3], [-2, 4], [-1, -3, -4]])
+    eng = CdclSolver(f)
+    for lit in (1, 2):
+        eng.trail_lim.append(len(eng.trail))
+        eng._enqueue(lit, None)
+        confl = eng._propagate()
+    assert eng.trail == [1, 2, 3, 4] and confl == 2
+    for v in flip:
+        eng.clauses[eng.reason[v]].reverse()
+    assert eng._analyze(confl) == ([-2, -1], 1)
+    assert not any(eng.seen)
 
 
 # ---- projected enumeration ---------------------------------------------------
@@ -602,10 +635,16 @@ def test_dimacs_round_trip(drawn):
 
 
 def test_dimacs_rejects_clause_count_mismatch():
-    with pytest.raises(ValueError):
-        read_dimacs(io.StringIO("p cnf 2 2\n1 -2 0\n"))
+    for text, message in [("p cnf 2 2\n1 -2 0\n", "declared 2 clauses, found 1"),
+                          ("p cnf 2\n1 -2 0\n", "bad problem line"),
+                          ("p cnf 2 1\n1 -2\n", "not terminated by 0")]:
+        with pytest.raises(ValueError, match=message):
+            read_dimacs(io.StringIO(text))
 
 
 def test_dimacs_rejects_missing_header():
-    with pytest.raises(ValueError):
-        read_dimacs(io.StringIO("1 -2 0\n"))
+    for text, message in [("1 -2 0\n", "clause before problem line"),
+                          ("", "missing problem line"),
+                          ("c no problem line\n", "missing problem line")]:
+        with pytest.raises(ValueError, match=message):
+            read_dimacs(io.StringIO(text))
