@@ -10,7 +10,7 @@ from .graph import (Graph, GraphParseError, build_graph, closed_neighborhood,
                     closed_neighborhood_set, parse_graph, parse_graph_file)
 from .satcore import (CdclSolver, CnfFormula, ModelCapExceeded, SolveOutcome,
                       SolveStatus, check_model, engine_factory,
-                      enumerate_models_projected, read_dimacs, write_dimacs)
+                      enumerate_models_projected, write_dimacs)
 from .encoder import (EncodedInstance, encode_cardinality, encode_detection,
                       encode_instance)
 from .definability import DefinabilityContext, QueryAnswer

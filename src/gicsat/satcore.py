@@ -11,9 +11,10 @@ entailed by the clause database alone, never by assumptions, so reuse is
 sound).  enumerate_projected lists every projected model in one search: it
 decides the projected variables first, each one true, so that the
 decisions on them imply the whole projected row, and blocks each model by
-the negation of those decisions alone.  Each such clause asserts at once,
-so the search backjumps instead of restarting at the root, with no
-conflict analysis and no learned clause per model.  A cursor per decision
+the negation of those decisions alone.  A blocking clause takes the one
+path that a learned clause takes (CdclSolver._add_asserting): the search
+backjumps to the level of the clause's second literal and asserts its
+first, with no conflict analysis per model.  A cursor per decision
 level finds the next projected variable to decide without rescanning the
 ones that the levels below already assigned.  solve and
 enumerate_projected share one CDCL loop (CdclSolver._search).
@@ -98,13 +99,9 @@ class CnfFormula:
         return len(self.clauses)
 
 
-def clause_satisfied(clause: Sequence[int], model: Sequence[bool]) -> bool:
-    return any(model[abs(l)] == (l > 0) for l in clause)
-
-
 def check_model(f: CnfFormula, model: Sequence[bool]) -> bool:
     """Direct evaluation of a full assignment against every clause."""
-    return all(clause_satisfied(c, model) for c in f.clauses)
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in f.clauses)
 
 
 class CdclSolver:
@@ -229,10 +226,15 @@ class CdclSolver:
         del self.trail_lim[lvl:]
         del self.cursor[lvl + 1:]
         self.qhead = min(self.qhead, lim)
-        if len(heap) > 2 * self.num_vars:  # shed the stale entries
-            heap[:] = [(-act, v) for v, act in enumerate(in_heap)
-                       if act is not None]
-            heapify(heap)
+        if len(heap) > 2 * self.num_vars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Shed the stale entries: one entry per in_heap key that is set."""
+        heap = self.heap
+        heap[:] = [(-act, v) for v, act in enumerate(self.in_heap)
+                   if act is not None]
+        heapify(heap)
 
     # ---- propagation ---------------------------------------------------
 
@@ -312,11 +314,14 @@ class CdclSolver:
             activity[v] *= 1e-100
             in_heap[v] = activity[v] if value[v] is None else None
         self.var_inc *= 1e-100
-        self.heap = sorted((-activity[v], v) for v in range(1, self.num_vars + 1)
-                           if value[v] is None)
+        self._rebuild_heap()
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
-        """First-UIP learning, resolving each reason on p wherever p stands in it."""
+    def _analyze(self, confl: int) -> list[int]:
+        """First-UIP learning, resolving each reason on p wherever p stands in it.
+
+        The learned clause leads with the asserting literal; a longer one
+        has a literal of the backjump level second.
+        """
         trail, level, reason, seen = self.trail, self.level, self.reason, self.seen
         clauses, activity, var_inc = self.clauses, self.activity, self.var_inc
         learnt: list[int] = [0]
@@ -353,44 +358,49 @@ class CdclSolver:
         learnt[0] = -p
         for q in learnt[1:]:  # the current level's marks are already clear
             seen[abs(q)] = 0
-        if len(learnt) == 1:
-            return learnt, 0
-        # watch the asserting literal and a literal from the backjump level
-        best = 1
-        for pos in range(2, len(learnt)):
-            if level[abs(learnt[pos])] > level[abs(learnt[best])]:
-                best = pos
-        learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt, level[abs(learnt[1])]
+        if len(learnt) > 1:
+            # watch the asserting literal and a literal from the backjump level
+            best = max(range(1, len(learnt)),
+                       key=lambda pos: level[abs(learnt[pos])])
+            learnt[1], learnt[best] = learnt[best], learnt[1]
+        return learnt
 
-    def _record_learnt(self, learnt: list[int]) -> None:
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
+    def _add_asserting(self, clause: list[int], learned: bool) -> None:
+        """Backjump to the level of clause[1] (the root for a unit), attach
+        the clause and assert clause[0], the one literal above that level.
+
+        This is the one path for a learned clause and for the blocking
+        clause of a projected model, which counts as original, so that
+        _reduce_db never deletes it; an empty blocking clause makes the
+        database UNSAT.
+        """
+        if not learned:
+            self.num_original += 1
+        if not clause:
+            self.ok = False
+        elif len(clause) == 1:
+            self._cancel_until(0)
+            self._enqueue(clause[0], None)
         else:
-            ci = self._attach(learnt)
-            self.learned_ids.append(ci)
-            self._enqueue(learnt[0], ci)
+            self._cancel_until(self.level[abs(clause[1])])
+            ci = self._attach(clause)
+            if learned:
+                self.learned_ids.append(ci)
+            self._enqueue(clause[0], ci)
 
     def _reduce_db(self) -> None:
-        keep_limit = max(2000, 2 * self.num_original)
-        if len(self.learned_ids) <= keep_limit:
+        """Past max(2000, 2 x originals) learned clauses, delete half: the
+        longest first, oldest first among equals; binaries and reasons stay."""
+        learned, clauses = self.learned_ids, self.clauses
+        if len(learned) <= max(2000, 2 * self.num_original):
             return
-        active_reasons = {self.reason[abs(l)] for l in self.trail}
-        # drop the longest (oldest first among equals), keep binaries
-        order = sorted(self.learned_ids,
-                       key=lambda ci: (-len(self.clauses[ci]), ci))
-        kept: set[int] = set(self.learned_ids)
-        to_remove = len(self.learned_ids) // 2
-        for ci in order:
-            if to_remove == 0:
-                break
-            clause = self.clauses[ci]
-            if len(clause) <= 2 or ci in active_reasons:
-                continue
-            self.clauses[ci] = None
-            kept.discard(ci)
-            to_remove -= 1
-        self.learned_ids = [ci for ci in self.learned_ids if ci in kept]
+        reasons = {self.reason[abs(l)] for l in self.trail}
+        doomed = sorted((ci for ci in learned
+                         if len(clauses[ci]) > 2 and ci not in reasons),
+                        key=lambda ci: (-len(clauses[ci]), ci))
+        for ci in doomed[:len(learned) // 2]:
+            clauses[ci] = None
+        self.learned_ids = [ci for ci in learned if clauses[ci] is not None]
 
     # ---- decisions -------------------------------------------------------
 
@@ -425,20 +435,24 @@ class CdclSolver:
                             cap: int) -> list[tuple[int, ...]]:
         """Every model of the clause database projected on proj, in one search.
 
-        proj holds distinct allocated variables; each row lists their
-        literals in proj's order.  The search decides the projected
-        variables first, in proj's order and each one true, and only then
-        lets VSIDS pick.  So at a model, unit propagation from the decisions
+        proj must hold distinct allocated variables (ValueError otherwise);
+        each row lists their literals in proj's order.  The search decides
+        the projected variables first, in proj's order and each one true,
+        and only then lets VSIDS pick.  So at a model, unit propagation from the decisions
         on projected variables implies every projected literal, and the
-        negation of those decisions alone blocks exactly this row.  The
-        blocking clause's first literal is alone at its level: the search
-        backjumps to the level of its second literal (the root for a unit)
-        and asserts it, with no conflict analysis.  Blocking clauses stay in
-        the database, so the engine ends UNSAT.  Raises ModelCapExceeded on
-        model number cap + 1.
+        negation of those decisions alone blocks exactly this row.  Listed
+        highest level first, that clause asserts its first literal
+        (_add_asserting), with no conflict analysis.  Blocking clauses stay
+        in the database, so the engine ends UNSAT.  Raises ModelCapExceeded
+        on model number cap + 1.
         """
-        value, trail, trail_lim = self.value, self.trail, self.trail_lim
+        for v in proj:
+            if not 1 <= v <= self.num_vars:
+                raise ValueError(f"projection variable {v} not allocated")
         projected = set(proj)
+        if len(projected) != len(proj):
+            raise ValueError(f"projection {list(proj)} repeats a variable")
+        value, trail, trail_lim = self.value, self.trail, self.trail_lim
         signed = [(v, -v) for v in proj]  # every row shares these int objects
         rows: list[tuple[int, ...]] = []
 
@@ -446,29 +460,12 @@ class CdclSolver:
             if len(rows) >= cap:
                 raise ModelCapExceeded(cap)
             rows.append(tuple([v if value[v] else nv for v, nv in signed]))
-            self._add_blocking([-trail[lim] for lim in reversed(trail_lim)
-                                if abs(trail[lim]) in projected])
+            self._add_asserting([-trail[lim] for lim in reversed(trail_lim)
+                                 if abs(trail[lim]) in projected],
+                                learned=False)
 
         self._search((), _NO_BUDGET, proj, block_model)
         return rows
-
-    def _add_blocking(self, clause: list[int]) -> None:
-        """Add a blocking clause of negated decisions, highest level first.
-
-        Each literal is alone at its level, so the clause asserts its first
-        literal at the level of its second (the root for a unit); an empty
-        clause makes the database UNSAT.  Blocking clauses count as
-        original, so _reduce_db never deletes them.
-        """
-        self.num_original += 1
-        if not clause:
-            self.ok = False
-        elif len(clause) == 1:
-            self._cancel_until(0)
-            self._enqueue(clause[0], None)
-        else:
-            self._cancel_until(self.level[abs(clause[1])])
-            self._enqueue(clause[0], self._attach(clause))
 
     def _search(self, assumptions: Sequence[int], budget: int,
                 order: Sequence[int],
@@ -482,8 +479,9 @@ class CdclSolver:
         at decision level lvl, and every position before it is assigned at
         level lvl or below.  So the scan at a level starts where the one
         below it stopped, and _cancel_until(lvl) keeps cursor[:lvl + 1].
-        Assumption levels make no scan and repeat the entry below them, so
-        that the list stays indexed by level.
+        Only enumerate_projected passes an order, and it passes no
+        assumptions, so every level has its scan and the list stays indexed
+        by level; solve's empty order leaves each entry 0.
 
         With on_model None the first model ends the search.  Otherwise
         on_model is called at each model; it blocks the model and asserts a
@@ -523,8 +521,6 @@ class CdclSolver:
                     i = cursor[-1]
                     while i < len(order) and value[order[i]] is not None:
                         i += 1
-                    if len(cursor) < lvl:  # assumption levels repeat the one below
-                        cursor += [cursor[-1]] * (lvl - len(cursor))
                     cursor[lvl:] = (i,)
                     if i < len(order):
                         next_lit = order[i]
@@ -550,9 +546,7 @@ class CdclSolver:
             if not self.trail_lim:
                 self.ok = False
                 return SolveOutcome(SolveStatus.UNSAT, None, conflicts)
-            learnt, bt = self._analyze(confl)
-            self._cancel_until(bt)
-            self._record_learnt(learnt)
+            self._add_asserting(self._analyze(confl), learned=True)
             self.var_inc /= 0.95
             if conflicts >= budget:
                 self._cancel_until(0)
@@ -608,11 +602,7 @@ def enumerate_models_projected(f: CnfFormula, proj: Iterable[int],
     the engine (its enumerate_projected); intended for desk-scale formulas.
     Raises ModelCapExceeded instead of silently truncating.
     """
-    proj_vars = sorted(set(proj))
-    for v in proj_vars:
-        if not 1 <= v <= f.num_vars:
-            raise ValueError(f"projection variable {v} not allocated")
-    return engine_factory(engine)(f).enumerate_projected(proj_vars, cap)
+    return engine_factory(engine)(f).enumerate_projected(sorted(set(proj)), cap)
 
 
 # ---- DIMACS ---------------------------------------------------------------
@@ -621,52 +611,15 @@ def enumerate_models_projected(f: CnfFormula, proj: Iterable[int],
 def write_dimacs(f: CnfFormula, fp: IO[str],
                  comments: Iterable[str] = (),
                  groups: Iterable[tuple[str, int, int]] = ()) -> None:
-    """Write DIMACS CNF; group annotations become 'c group <label> <v> <v>'."""
+    """Write DIMACS CNF; group annotations become 'c group <label> <v> <v>'.
+
+    Each line of a comment is a 'c' line of its own.
+    """
     for text in comments:
-        fp.write(f"c {text}\n")
+        for line in text.splitlines() or [""]:
+            fp.write(f"c {line}\n")
     for label, v1, v2 in groups:
         fp.write(f"c group {label} {v1} {v2}\n")
     fp.write(f"p cnf {f.num_vars} {len(f.clauses)}\n")
     for clause in f.clauses:
         fp.write(" ".join(str(l) for l in clause) + " 0\n")
-
-
-def read_dimacs(fp: IO[str]) -> tuple[CnfFormula, dict[str, tuple[int, int]]]:
-    """Read DIMACS CNF, returning the formula and any 'c group' annotations."""
-    groups: dict[str, tuple[int, int]] = {}
-    num_vars = num_clauses = None
-    tokens: list[str] = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("c"):
-            parts = line.split()
-            if len(parts) == 5 and parts[1] == "group":
-                groups[parts[2]] = (int(parts[3]), int(parts[4]))
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: bad problem line {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
-            continue
-        if num_vars is None:
-            raise ValueError(f"line {lineno}: clause before problem line")
-        tokens.extend(line.split())
-    if num_vars is None:
-        raise ValueError("missing problem line")
-    f = CnfFormula(num_vars)
-    clause: list[int] = []
-    for tok in tokens:
-        lit = int(tok)
-        if lit == 0:
-            f.add_clause(clause)
-            clause = []
-        else:
-            clause.append(lit)
-    if clause:
-        raise ValueError("trailing clause not terminated by 0")
-    if len(f.clauses) != num_clauses:
-        raise ValueError(f"declared {num_clauses} clauses, found {len(f.clauses)}")
-    return f, groups

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import signal
@@ -16,8 +17,7 @@ from gicsat.graph import parse_graph_file
 from gicsat.oracle import failure_set_count
 from gicsat.satcore import (CdclSolver, CnfFormula, ModelCapExceeded,
                             SolveStatus, check_model, engine_factory,
-                            enumerate_models_projected, read_dimacs,
-                            write_dimacs)
+                            enumerate_models_projected, write_dimacs)
 
 
 TEST_SECONDS = 30  # the slowest test here takes a few seconds
@@ -241,6 +241,20 @@ def test_unallocated_variables_are_rejected(lit):
         enumerate_models_projected(f, [1, abs(lit)])
 
 
+@pytest.mark.parametrize("proj,message", [
+    ([-1], "variable -1 not allocated"), ([0], "variable 0 not allocated"),
+    ([1, 4], "variable 4 not allocated"), ([1, 1], "repeats a variable"),
+])
+def test_enumerate_projected_rejects_bad_projection(proj, message):
+    # the engine's own method, before any search: nothing assigned
+    f = CnfFormula(3)
+    f.add_clauses([[1, 2], [-1, -3]])
+    eng = CdclSolver(f)
+    with pytest.raises(ValueError, match=message):
+        eng.enumerate_projected(proj, 16)
+    assert eng.trail == [] and eng.decisions == 0
+
+
 def test_counters_repeat_and_are_pinned():
     # decisions and propagations are deterministic search counts
     runs = []
@@ -301,6 +315,68 @@ def test_rescale_keeps_answers_and_heap():
                 assert check_model(f, got.model)
             assert_one_live_heap_entry(eng)
     assert rescales >= 10
+
+
+def random_3sat(rng, n, m):
+    f = CnfFormula(n)
+    for _ in range(m):
+        f.add_clause([v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, n + 1), 3)])
+    return f
+
+
+def test_solve_trajectory_is_pinned():
+    # one engine over 8 calls on random 3-SAT near the threshold, each
+    # under 4 random assumptions: the learned clauses pass the 2,000-clause
+    # floor of _reduce_db, and calls 2 and 6 start with var_inc near the
+    # 1e100 limit, so their bumps rescale.  The counts pin the search
+    # itself, not only its answers
+    rng = random.Random(3)
+    f = random_3sat(rng, 150, 639)
+    eng = CdclSolver(f)
+    calls = []
+    for call in range(8):
+        if call in (2, 6):
+            eng.var_inc = 0.9e100
+        vs = rng.sample(range(1, f.num_vars + 1), 4)
+        out = eng.solve([v if rng.random() < 0.5 else -v for v in vs])
+        if out.status is SolveStatus.SAT:
+            assert check_model(f, out.model)
+        calls.append((out.status.value, out.conflicts_used))
+        if call in (2, 6):
+            assert eng.var_inc < 1e50  # rescaled
+    assert None in eng.clauses  # _reduce_db deleted learned clauses
+    assert calls == [("unsat", 671), ("sat", 32), ("unsat", 689), ("sat", 297),
+                     ("unsat", 154), ("unsat", 659), ("unsat", 239),
+                     ("unsat", 424)]
+    assert (eng.decisions, eng.propagations,
+            len(eng.learned_ids)) == (3774, 102589, 1165)
+
+
+@pytest.mark.parametrize("n,m,p,seed,pinned", [
+    (30, 90, 12, 1, (321, "ecddc601470dba52", 1915, 4519, 28, 316)),
+    (50, 190, 16, 3, (175, "09bcac6d95e96e6c", 1350, 11399, 456, 175)),
+    (60, 240, 16, 4, (72, "da394da3b1a55633", 798, 5490, 244, 72)),
+])
+def test_enumeration_trajectory_is_pinned(n, m, p, seed, pinned):
+    # projected enumeration of random 3-SAT on p of its n variables, with
+    # conflicts (learned clauses) between the models.  Each row's blocking
+    # clause is attached, except 5 of seed 1's, which are units or the
+    # last, empty one.  The rows are pinned by count and sha256 prefix
+    rng = random.Random(seed)
+    f = random_3sat(rng, n, m)
+    proj = rng.sample(range(1, n + 1), p)
+    eng = CdclSolver(f)
+    first_id = len(eng.clauses)
+    rows = eng.enumerate_projected(proj, 1 << 20)
+    learned = set(eng.learned_ids)
+    attached_blocking = sum(c is not None and ci not in learned
+                            for ci, c in enumerate(eng.clauses[first_id:],
+                                                   first_id))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert len(set(rows)) == len(rows)
+    assert (len(rows), digest, eng.decisions, eng.propagations, len(learned),
+            attached_blocking) == pinned
 
 
 def literals(n):
@@ -471,7 +547,8 @@ def test_analyze_resolves_a_binary_reason_in_either_order(flip):
     assert eng.trail == [1, 2, 3, 4] and confl == 2
     for v in flip:
         eng.clauses[eng.reason[v]].reverse()
-    assert eng._analyze(confl) == ([-2, -1], 1)
+    learnt = eng._analyze(confl)
+    assert learnt == [-2, -1] and eng.level[abs(learnt[1])] == 1
     assert not any(eng.seen)
 
 
@@ -603,48 +680,20 @@ def test_k1_enumeration_decides_no_totalizer_output(name):
 
 # ---- DIMACS -------------------------------------------------------------------
 
-@st.composite
-def drawn_dimacs(draw):
-    """A formula on at most 6 variables, comments and group annotations."""
-    n = draw(st.integers(0, 6))
-    f = CnfFormula(n)
-    if n:
-        f.add_clauses(draw(st.lists(clauses(n), max_size=8)))
-        var = st.integers(1, n)
-        groups = draw(st.dictionaries(
-            st.text("ab_-19", min_size=1, max_size=4),
-            st.tuples(var, var), max_size=n))
-    else:
-        groups = {}
-    comments = draw(st.lists(st.text("hello wrd", max_size=12), max_size=3))
-    return f, comments, groups
-
-
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(drawn_dimacs())
-def test_dimacs_round_trip(drawn):
-    f, comments, groups = drawn
+def test_write_dimacs_text():
+    # a comment line per line of a comment, so that a graph file name
+    # holding a newline stays inside the comment
+    f = CnfFormula(3)
+    f.add_clauses([[1, -2], [3], [-1, 2, -3]])
     buf = io.StringIO()
-    write_dimacs(f, buf, comments=comments,
-                 groups=[(label, *vs) for label, vs in groups.items()])
-    buf.seek(0)
-    g, read_groups = read_dimacs(buf)
-    assert g.num_vars == f.num_vars
-    assert g.clauses == f.clauses
-    assert read_groups == groups
-
-
-def test_dimacs_rejects_clause_count_mismatch():
-    for text, message in [("p cnf 2 2\n1 -2 0\n", "declared 2 clauses, found 1"),
-                          ("p cnf 2\n1 -2 0\n", "bad problem line"),
-                          ("p cnf 2 1\n1 -2\n", "not terminated by 0")]:
-        with pytest.raises(ValueError, match=message):
-            read_dimacs(io.StringIO(text))
-
-
-def test_dimacs_rejects_missing_header():
-    for text, message in [("1 -2 0\n", "clause before problem line"),
-                          ("", "missing problem line"),
-                          ("c no problem line\n", "missing problem line")]:
-        with pytest.raises(ValueError, match=message):
-            read_dimacs(io.StringIO(text))
+    write_dimacs(f, buf, comments=["graph fig\n1.edges n 5 m 6 k 1", ""],
+                 groups=[("a", 1, 2), ("b-1", 3, 3)])
+    assert buf.getvalue() == ("c graph fig\n"
+                              "c 1.edges n 5 m 6 k 1\n"
+                              "c \n"
+                              "c group a 1 2\n"
+                              "c group b-1 3 3\n"
+                              "p cnf 3 3\n"
+                              "1 -2 0\n"
+                              "3 0\n"
+                              "-1 2 -3 0\n")
