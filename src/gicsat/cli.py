@@ -19,10 +19,9 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
 
 from . import encoder, gismo, oracle
-from .definability import LAYERS, DefinabilityContext
+from .definability import DefinabilityContext
 from .graph import Graph, GraphParseError, parse_graph_file
 from .satcore import write_dimacs
 
@@ -83,10 +82,10 @@ def _build_parser() -> _Parser:
     common(sol)
     sol.add_argument("--budget", type=_positive(int),
                      default=gismo.GismoConfig.budget,
-                     help="conflict budget of each definability query that "
-                          "the graph search leaves to the solver")
+                     help="graph-search pairs each definability query may "
+                          "visit; a query past it keeps its group")
     sol.add_argument("--order", default="input",
-                     help="group order: input, deg-desc, deg-asc, random, "
+                     help="group order: input, deg-asc, random, "
                           "or an explicit comma-separated label list "
                           "(CSV-quote a label that holds a comma)")
     sol.add_argument("--seed", type=int, default=None,
@@ -231,7 +230,6 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
     inst = encoder.encode_instance(g, k)
     result = gismo.run_gismo(inst, cfg, _DeadlineContext(inst, deadline))
     elapsed = time.monotonic() - start
-    layers = Counter(a.layer for e in result.per_group_log for a in e.tested)
     record = {
         "graph": os.path.basename(graph_path),
         "n": g.n,
@@ -246,8 +244,6 @@ def solve_record(graph_path: str, g: Graph, k: int, cfg: gismo.GismoConfig,
         "sensor_count": len(result.sensor_set),
         "sensors": [g.labels[v] for v in sorted(result.sensor_set)],
         "queries": result.total_queries,
-        "queries_by_layer": {layer: layers[layer] for layer in LAYERS},
-        "conflicts": result.total_conflicts,
         "search_nodes": result.total_search_nodes,
         "budget_exhaustions": result.budget_exhaustions,
     }
@@ -299,10 +295,13 @@ def cmd_verify(args) -> int:
     print(f"PASS: {{{_labels(g, sensors)}}} identifies all failure sets "
           f"of size <= {args.k}")
 
-    # cross-check against the CNF truth table when small enough to enumerate
-    if oracle.failure_set_count(g.n, args.k) <= TRUTH_TABLE_LIMIT:
+    # cross-check against the CNF truth table, one row per failure set, when
+    # small enough to enumerate: an encoding that loses or adds models fails
+    count = oracle.failure_set_count(g.n, args.k)
+    if count <= TRUTH_TABLE_LIMIT:
         inst = encoder.encode_instance(g, args.k)
-        ok = oracle.is_gis_bruteforce(inst, sensors)
+        rows = oracle.projected_models(inst)
+        ok = len(rows) == count and oracle.is_gis_bruteforce(inst, sensors, rows)
         print(f"truth-table cross-check: {'PASS' if ok else 'FAIL'}")
         if not ok:
             return EXIT_USAGE
@@ -332,7 +331,7 @@ def _bench_one(graph_path: str, g: Graph | None, error: str | None,
     record = {"instance": os.path.basename(graph_path), "k": k,
               "method": "gismo-bundled", "n": None, "m": None, "status": None,
               "wall_seconds": None, "sensor_count": None, "queries": None,
-              "conflicts": None, "budget_exhaustions": None, "verified": None}
+              "budget_exhaustions": None, "verified": None}
     if g is None:
         record["status"] = "encode-fail"
         record["error"] = error
@@ -365,7 +364,6 @@ def _bench_one(graph_path: str, g: Graph | None, error: str | None,
     record["status"] = "solved"
     record["sensor_count"] = solved["sensor_count"]
     record["queries"] = solved["queries"]
-    record["conflicts"] = solved["conflicts"]
     record["budget_exhaustions"] = solved["budget_exhaustions"]
     try:
         sensors = [g.index_of(lab) for lab in solved["sensors"]]

@@ -1,4 +1,4 @@
-"""Single-variable definability queries, decided on the graph first.
+"""Single-variable definability queries, decided on the graph.
 
 The models of the instance formula F projected on x/y are the failure sets
 S with |S| <= k, each as (x = S, y = N[S]).  With Dx and Dy the nodes whose
@@ -32,12 +32,13 @@ So a failed search proves definability, and as only subtrees without a
 witness are cut, the depth-first search meets the same first witness as
 one that branches on the same u but also tries every w of N[u] on both
 sides and bars nothing.
-Such answers have `layer` "graph".  A search that would visit more than
-SEARCH_NODES pairs falls through to the "engine", built on the first such
-query over the two-copy base formula: F, a copy F' that renames every
-variable a (auxiliaries too, lest shared totalizer outputs couple the
-copies) to a + t, t = F's variable count, and per projected variable z an
-indicator e_z = 2t + z with e_z -> (z <-> z').  The engine assumes
+
+`query` runs only this search, and past its pair budget it answers
+BUDGET_EXHAUSTED.  `engine_query`, the reference check, asks the CDCL
+engine the paper's Padoa question on the two-copy base: F, a copy F' that
+renames every variable a (auxiliaries too, lest shared totalizer outputs
+couple the copies) to a + t, t = F's variable count, and per projected
+variable z an indicator e_z = 2t + z with e_z -> (z <-> z').  It assumes
 {e_c : c in D}, z and -z'; a SAT model's two x copies give the witness.
 
 A greedy run's support lives in its context as `support`, changed only by
@@ -56,40 +57,33 @@ from .encoder import EncodedInstance
 from .graph import mask_to_set
 from .satcore import CnfFormula, SolveStatus, engine_factory
 
-Witness = tuple[frozenset[int], frozenset[int]]
-LAYERS = ("graph", "engine")  # the witness sources
-SEARCH_NODES = 1_000_000  # pairs one graph search may visit; 0: the engine
-# answers every query that has a start
-
 
 @dataclass(frozen=True)
 class QueryAnswer:
     """One definability answer about target var; witness (F1, F2) iff SAT.
 
-    layer, one of LAYERS, gave the answer; search_nodes counts search pairs.
+    search_nodes counts graph-search pairs, conflicts_used engine conflicts.
     """
 
     var: int
     status: SolveStatus
-    witness: Witness | None
+    witness: tuple[frozenset[int], frozenset[int]] | None
     conflicts_used: int
     search_nodes: int
-    layer: str
 
     def __post_init__(self):
         assert (self.witness is not None) == (self.status is SolveStatus.SAT)
-        assert self.layer in LAYERS
 
 
-class _OutOfNodes(Exception):
-    """The graph search visited more than SEARCH_NODES pairs."""
+class _OutOfPairs(Exception):
+    """The graph search reached its pair budget."""
 
 
 class DefinabilityContext:
-    """The graph search on `inst`, and one shared incremental engine behind it.
+    """The graph search on `inst`, and the engine of the reference check.
 
-    engine names the `satcore.ENGINES` entry for the search's fall-throughs,
-    checked here and built on the first one.  `support`, the projected
+    engine names the `satcore.ENGINES` entry that `engine_query` runs on,
+    checked here and built on its first call.  `support`, the projected
     variables of the groups not dropped, and its node mask change only by
     `drop(v)` and `keep(v)`, which take v's group out and put it back; a
     query on `support` itself reads the mask, any other set is converted.
@@ -136,13 +130,46 @@ class DefinabilityContext:
 
     def query(self, defining: Iterable[int], target: int,
               budget: int | None = None) -> QueryAnswer:
-        """Padoa-style check: is target functionally defined by `defining`?
+        """Padoa-style check on the graph: is target defined by `defining`?
 
         UNSAT: defined.  SAT: the witness holds two failure sets whose
         projected models agree on `defining`, target true for the first and
-        false for the second.  BUDGET_EXHAUSTED: the graph search was too
-        large and the engine ran out of its conflict budget.
+        false for the second.  BUDGET_EXHAUSTED: the search would visit more
+        than `budget` pairs (None: no limit); it has visited `budget`.
         """
+        dx, dy = self._masks(defining, target, budget)
+        nodes = [0]
+        try:
+            found = self._search(dx, dy, target, budget or -1, nodes)
+        except _OutOfPairs:
+            return QueryAnswer(target, SolveStatus.BUDGET_EXHAUSTED, None, 0, nodes[0])
+        if found is not None:
+            found = (mask_to_set(found[0]), mask_to_set(found[1]))
+        return QueryAnswer(target, SolveStatus.UNSAT if found is None
+                           else SolveStatus.SAT, found, 0, nodes[0])
+
+    def engine_query(self, defining: Iterable[int], target: int,
+                     budget: int | None = None) -> QueryAnswer:
+        """`query`'s question asked of the engine on `base`, budget capping
+        its conflicts; one engine, built on the first call, answers them all."""
+        defining = set(defining)
+        self._masks(defining, target, budget)
+        shift = self.inst.formula.num_vars
+        assumptions = [2 * shift + z for z in sorted(defining)]
+        assumptions += [target, -target - shift]
+        if self._engine is None:
+            self._engine = self._make_engine(self.base)
+        out = self._engine.solve(assumptions, budget)
+        witness = None
+        if out.status is SolveStatus.SAT:  # copy 1 holds the target true
+            m, x = out.model, self.inst.x
+            witness = (frozenset(v for v, z in enumerate(x) if m[z]),
+                       frozenset(v for v, z in enumerate(x) if m[z + shift]))
+        return QueryAnswer(target, out.status, witness, out.conflicts_used, 0)
+
+    def _masks(self, defining: Iterable[int], target: int,
+               budget: int | None) -> tuple[int, int]:
+        """Dx and Dy of `defining` as node masks; checks both queries' arguments."""
         n = self.inst.graph.n
         if not 1 <= target <= 2 * n:
             raise ValueError(f"target variable {target} is not a projected variable")
@@ -156,31 +183,22 @@ class DefinabilityContext:
             dx, dy = bits >> 1 & (1 << n) - 1, bits >> n + 1
         if target in defining:
             raise ValueError("target variable must not be in the defining set")
-        if budget is not None and budget < 1:  # checked even if no engine call
+        if budget is not None and budget < 1:
             raise ValueError("budget must be >= 1")
-        nodes = [0]
-        try:
-            found = self._search(dx, dy, target, nodes)
-        except _OutOfNodes:
-            return self._solve(defining, target, budget, nodes[0])
-        if found is not None:
-            found = (mask_to_set(found[0]), mask_to_set(found[1]))
-        return QueryAnswer(target, SolveStatus.UNSAT if found is None
-                           else SolveStatus.SAT, found, 0, nodes[0], "graph")
+        return dx, dy
 
-    def _search(self, dx: int, dy: int, target: int,
+    def _search(self, dx: int, dy: int, target: int, limit: int,
                 nodes: list[int]) -> tuple[int, int] | None:
         """The witness (F1, F2) as node masks, or None if there is none;
-        nodes[0] counts the pairs visited, _OutOfNodes past SEARCH_NODES."""
+        nodes[0] counts the pairs, _OutOfPairs past limit (-1: none)."""
         g, k = self.inst.graph, self.inst.k
         n, closed, nbrs, classes = g.n, g.closed_masks, g.closed, self._size_classes
-        limit = SEARCH_NODES
 
         def step(f1, f2, n1, n2, c1, c2, b1, b2):
             # f: the side's nodes, n: their number, c: N[f], b: the nodes
             # barred from it, all as masks; the sides may come back swapped
             if nodes[0] == limit:
-                raise _OutOfNodes
+                raise _OutOfPairs
             nodes[0] += 1
             only1, only2 = c1 & ~c2 & dy, c2 & ~c1 & dy
             if n2 == k and only1 or n1 == k and only2:
@@ -221,20 +239,3 @@ class DefinabilityContext:
                     return found if found[0] & own else found[::-1]
                 barred |= 1 << w
         return None
-
-    def _solve(self, defining: set[int], target: int, budget: int | None,
-               search_nodes: int) -> QueryAnswer:
-        """One engine call on the base, built on the first call."""
-        shift = self.inst.formula.num_vars
-        assumptions = [2 * shift + z for z in sorted(defining)]
-        assumptions += [target, -target - shift]
-        if self._engine is None:
-            self._engine = self._make_engine(self.base)
-        out = self._engine.solve(assumptions, budget)
-        witness = None
-        if out.status is SolveStatus.SAT:  # copy 1 holds the target true
-            m, x = out.model, self.inst.x
-            witness = (frozenset(v for v, z in enumerate(x) if m[z]),
-                       frozenset(v for v, z in enumerate(x) if m[z + shift]))
-        return QueryAnswer(target, out.status, witness, out.conflicts_used,
-                           search_nodes, "engine")

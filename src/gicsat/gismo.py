@@ -4,7 +4,7 @@ Starting from all groups, each node's group is taken out of the support
 with `ctx.drop(v)` and its two variables are queried on `ctx.support`: the
 groups not yet processed plus the groups kept.  `ctx.keep(v)` puts the
 group back as soon as one of its variables is not provably defined -- a
-satisfiable query or an exhausted conflict budget both keep the group, so
+satisfiable query or a search past its pair budget both keep the group, so
 budget exhaustion errs on the safe side and the output is a grouped
 independent support regardless.  The kept nodes are exactly the sensor
 placement.  x is probed before y at every k, which visits fewer
@@ -25,21 +25,19 @@ from .definability import DefinabilityContext, QueryAnswer
 from .encoder import EncodedInstance
 from .satcore import SolveStatus
 
-ORDER_KEYWORDS = ("input", "deg-desc", "deg-asc", "random")
+ORDER_KEYWORDS = ("input", "deg-asc", "random")
 
 
 @dataclass(frozen=True)
 class GismoConfig:
-    """Knobs of one run.
+    """Knobs of one run: budget, the graph-search pairs each query may visit.
 
     order is one of ORDER_KEYWORDS or an explicit node-index permutation;
     seed is required by order="random", so that the config fixes the run,
-    and ignored otherwise.  budget is the conflict allowance of each query
-    that the graph search leaves to the engine.  The engine is chosen by
-    the DefinabilityContext passed to run_gismo.
+    and ignored otherwise.
     """
 
-    budget: int = 5000
+    budget: int = 10_000_000
     order: str | tuple[int, ...] = "input"
     seed: int | None = None
 
@@ -69,7 +67,7 @@ class GisResult:
     per_group_log: tuple[GroupLog, ...]
     budget_exhaustions: int
     total_queries: int
-    total_conflicts: int
+    total_conflicts: int  # 0 unless the context answers on the engine
     total_search_nodes: int
 
 
@@ -82,8 +80,6 @@ def group_order(inst: EncodedInstance, cfg: GismoConfig) -> list[int]:
         return list(cfg.order)
     if cfg.order == "input":
         return list(range(n))
-    if cfg.order == "deg-desc":
-        return sorted(range(n), key=lambda v: (-inst.graph.degree(v), v))
     if cfg.order == "deg-asc":
         return sorted(range(n), key=lambda v: (inst.graph.degree(v), v))
     nodes = list(range(n))

@@ -1,28 +1,34 @@
 import pytest
 
-from gicsat import definability
 from gicsat.definability import DefinabilityContext
 
 
-class FreshContext(DefinabilityContext):
-    """Answers each query from a newly built context.
+class EngineContext(DefinabilityContext):
+    """Answers every query with `engine_query`: the Padoa check on the
+    two-copy base, one shared engine for all of them, and the query's
+    budget as its conflict budget."""
 
-    No learned clause or other incremental state of the shared engine carries
-    from one query to the next, so this is the reference the shared context
-    is cross-checked against.
+    def query(self, defining, target, budget=None):
+        return self.engine_query(defining, target, budget)
+
+
+class FreshContext(DefinabilityContext):
+    """Answers each query with `engine_query` on a newly built context.
+
+    No learned clause or other incremental state of an engine carries from
+    one query to the next, so this is the reference that the shared engine
+    of `EngineContext` is cross-checked against.
     """
 
     def query(self, defining, target, budget=None):
-        return DefinabilityContext(self.inst).query(defining, target, budget)
+        return DefinabilityContext(self.inst).engine_query(defining, target, budget)
+
+
+@pytest.fixture
+def engine_context():
+    return EngineContext
 
 
 @pytest.fixture
 def fresh_context():
     return FreshContext
-
-
-@pytest.fixture
-def engine_only(monkeypatch):
-    """With a graph-search budget of 0, every query with a start (every
-    run_gismo query) goes to the engine."""
-    monkeypatch.setattr(definability, "SEARCH_NODES", 0)

@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from gicsat import cli
+from gicsat import cli, encoder
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 FIG1 = os.path.join(DATA, "fig1.edges")
@@ -136,7 +136,7 @@ def test_solve_worked_example_order(tmp_path, capsys):
     rec = solve_json(tmp_path, capsys, "--order", "e,d,c,b,a")
     assert rec["sensors"] == ["a", "c"]
     assert rec["sensor_count"] == 2
-    assert rec["config"] == {"budget": 5000, "order": ["e", "d", "c", "b", "a"],
+    assert rec["config"] == {"budget": 10_000_000, "order": ["e", "d", "c", "b", "a"],
                              "seed": None}
     assert rec["budget_exhaustions"] == 0
     assert "wall_seconds" not in rec
@@ -293,10 +293,7 @@ def test_solve_deterministic_output(tmp_path, capsys):
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
         record = json.loads(a.read_text())
-        layers = record["queries_by_layer"]
-        assert list(layers) == ["engine", "graph"]  # keys sorted
-        assert layers == {"engine": 0, "graph": record["queries"]}
-        assert record["conflicts"] == 0
+        assert "queries_by_layer" not in record and "conflicts" not in record
         assert record["search_nodes"] >= record["queries"]
 
 
@@ -307,6 +304,28 @@ def test_verify_pass(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "truth-table cross-check: PASS" in out
+
+
+@pytest.mark.parametrize("edit", ["add a clause", "drop a clause"])
+def test_verify_cross_check_needs_one_row_per_failure_set(monkeypatch, capsys, edit):
+    # {a, c} is valid and the signature scan passes it, but an encoding that
+    # loses models (x_a forced false) or gains them (y_a no longer needs a
+    # failed node in N[a]) must fail the truth-table cross-check
+    encode = encoder.encode_instance
+
+    def wrong(g, k):
+        inst = encode(g, k)
+        if edit == "add a clause":
+            inst.formula.clauses.append([-inst.x[0]])
+        else:
+            assert inst.formula.clauses.pop(0)[0] == -inst.y[0]
+        return inst
+
+    monkeypatch.setattr(encoder, "encode_instance", wrong)
+    assert run_cli(["verify", FIG1, "--k", "1", "--sensors", "a,c"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS: {a,c} identifies all failure sets of size <= 1",
+        "truth-table cross-check: FAIL"]
 
 
 def test_verify_repeated_sensor_counted_once(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from itertools import combinations
 from pathlib import Path
 
-from gicsat import definability
 from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.gismo import GismoConfig, run_gismo
@@ -143,18 +142,22 @@ def test_query_rejects_target_in_defining_set():
     inst = encode_instance(fig1(), 1)
     ctx = DefinabilityContext(inst)
     x_a, _ = xy(inst, "a")
-    with pytest.raises(ValueError):
-        ctx.query({x_a}, x_a)
+    for ask in (ctx.query, ctx.engine_query):
+        with pytest.raises(ValueError):
+            ask({x_a}, x_a)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_query_rejects_non_positive_budget(k):
-    # the graph search answers without the engine, which checks the budget
+    # checked before either query starts, though the search would need no
+    # budget here
     inst = encode_instance(fig1(), k)
     ctx = DefinabilityContext(inst)
     x_a, _ = xy(inst, "a")
-    with pytest.raises(ValueError):
-        ctx.query(set(inst.z_vars) - {x_a}, x_a, budget=0)
+    for ask in (ctx.query, ctx.engine_query):
+        with pytest.raises(ValueError, match="budget"):
+            ask(set(inst.z_vars) - {x_a}, x_a, budget=0)
+    assert "base" not in vars(ctx) and ctx._engine is None
 
 
 @pytest.mark.parametrize("k,sensors", [(1, "c d"), (2, "a c d e")])
@@ -179,15 +182,16 @@ def test_query_rejects_non_projected_vars():
     inst = encode_instance(fig1(), 2)
     ctx = DefinabilityContext(inst)
     aux = inst.aux[0]
-    with pytest.raises(ValueError):
-        ctx.query({aux}, xy(inst, "a")[0])
-    with pytest.raises(ValueError):
-        ctx.query(set(), aux)
-    # only the context's own support skips the range scan; a set equal to
-    # it plus one auxiliary variable is converted and checked in full
     x_a, y_a = xy(inst, "a")
-    with pytest.raises(ValueError, match="not projected"):
-        ctx.query(set(inst.z_vars) - {x_a, y_a} | {aux}, x_a)
+    for ask in (ctx.query, ctx.engine_query):
+        with pytest.raises(ValueError):
+            ask({aux}, x_a)
+        with pytest.raises(ValueError):
+            ask(set(), aux)
+        # only the context's own support skips the range scan; a set equal
+        # to it plus one auxiliary variable is converted and checked in full
+        with pytest.raises(ValueError, match="not projected"):
+            ask(set(inst.z_vars) - {x_a, y_a} | {aux}, x_a)
 
 
 # ---- semantics against the enumerated truth table -----------------------------
@@ -275,13 +279,15 @@ def test_indicator_query_equals_unconditional_equalities():
         ctx = DefinabilityContext(inst)
         for target in rng.sample(list(inst.z_vars), min(4, len(inst.z_vars))):
             defining = set(inst.z_vars) - {target}
-            via_ctx = ctx.query(defining, target).status
+            via_ctx = ctx.engine_query(defining, target).status
             direct = CdclSolver(direct_padoa_formula(inst, target))
             via_direct = direct.solve().status
             assert via_ctx == via_direct
 
 
 def test_fresh_context_matches_shared_context(fresh_context):
+    # one engine answers every query on one side, a new one each query on
+    # the other: learned clauses carried between queries change no answer
     rng = random.Random(59)
     inst = random_instance(rng, max_n=5)
     shared = DefinabilityContext(inst)
@@ -291,8 +297,9 @@ def test_fresh_context_matches_shared_context(fresh_context):
         target = rng.choice(z_all)
         rest = [z for z in z_all if z != target]
         defining = set(rng.sample(rest, rng.randint(0, len(rest))))
-        assert shared.query(defining, target).status == \
+        assert shared.engine_query(defining, target).status == \
             fresh.query(defining, target).status
+    assert shared._engine is not None and fresh._engine is None
 
 
 # ---- the graph search against the engine ----------------------------------------
@@ -360,7 +367,7 @@ def test_query_matches_engine_on_base(query):
         if target in defining:
             continue
         got = ctx.query(defining, target)
-        assert got.layer == "graph" and got.conflicts_used == 0
+        assert got.conflicts_used == 0
         assumed = [ind[c] for c in defining]
         want = CdclSolver(ctx.base).solve(assumed + [target, -hat[target]])
         assert got.status is want.status
@@ -369,42 +376,44 @@ def test_query_matches_engine_on_base(query):
             check_witness(inst, defining, got)
 
 
-def test_engine_witness_decoded_at_k3(engine_only):
+def test_engine_witness_decoded_at_k3():
     defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
-    got = DefinabilityContext(PATH5).query(defining, PATH5.y[2])
-    assert (got.status, got.layer) == (SolveStatus.SAT, "engine")
-    assert got.search_nodes == 0
+    ctx = DefinabilityContext(PATH5)
+    got = ctx.engine_query(defining, PATH5.y[2])
+    assert got.status is SolveStatus.SAT and got.search_nodes == 0
     assert got.witness == (frozenset({0, 2, 4}), frozenset({0, 4}))
+    assert "base" in vars(ctx) and ctx._engine is not None
 
 
-def test_query_without_a_start_is_answered_on_the_graph(engine_only):
-    # Dx holds every node, so no node of N[2] can start F1: even with no
-    # search pairs allowed, the graph proves y_2 defined and builds no base
+def test_query_without_a_start_is_answered_on_the_graph():
+    # Dx holds every node, so no node of N[2] can start F1: within a budget
+    # of one pair, the graph proves y_2 defined without visiting a pair
     defining = set(PATH5.z_vars) - {PATH5.y[2]}
     ctx = DefinabilityContext(PATH5)
-    got = ctx.query(defining, PATH5.y[2])
-    assert (got.status, got.layer, got.search_nodes) == (SolveStatus.UNSAT, "graph", 0)
+    got = ctx.query(defining, PATH5.y[2], budget=1)
+    assert (got.status, got.search_nodes) == (SolveStatus.UNSAT, 0)
     assert "base" not in vars(ctx) and ctx._engine is None
 
 
 def test_graph_witness_at_k3():
     defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
     got = DefinabilityContext(PATH5).query(defining, PATH5.y[2])
-    assert (got.status, got.layer, got.search_nodes) == (SolveStatus.SAT, "graph", 3)
+    assert (got.status, got.search_nodes) == (SolveStatus.SAT, 3)
     assert got.witness == (frozenset({0, 2, 4}), frozenset({0, 4}))
 
 
-@pytest.mark.parametrize("limit", [1, 2])
-def test_search_past_its_node_budget_falls_through(monkeypatch, limit):
-    # the witness above takes 3 pairs: with room for fewer the engine answers
-    monkeypatch.setattr(definability, "SEARCH_NODES", limit)
+@pytest.mark.parametrize("budget", [1, 2])
+def test_search_past_its_pair_budget_is_exhausted(budget):
+    # the witness above takes 3 pairs: a budget of fewer stops the search
+    # after `budget` pairs, and nothing else answers
     ctx = DefinabilityContext(PATH5)
-    assert "base" not in vars(ctx)  # built on the first fall-through only
     defining = set(PATH5.z_vars) - set(PATH5.group_of(2))
-    got = ctx.query(defining, PATH5.y[2])
-    assert (got.status, got.layer, got.search_nodes) == (SolveStatus.SAT, "engine", limit)
-    check_witness(PATH5, defining, got)
-    assert "base" in vars(ctx)
+    got = ctx.query(defining, PATH5.y[2], budget)
+    assert (got.status, got.witness, got.search_nodes, got.conflicts_used) == \
+        (SolveStatus.BUDGET_EXHAUSTED, None, budget, 0)
+    assert "base" not in vars(ctx) and ctx._engine is None
+    assert ctx.query(defining, PATH5.y[2], 3) == \
+        ctx.query(defining, PATH5.y[2])  # a budget of 3 pairs is enough
 
 
 def test_base_is_built_on_first_read_only():
@@ -449,7 +458,6 @@ def test_forced_set_is_in_every_placement(inst):
     forced = set()
     for v in range(inst.graph.n):
         got = ctx.query(support - set(inst.group_of(v)), inst.x[v])
-        assert got.layer == "graph"
         if got.status is SolveStatus.SAT:
             forced.add(v)
             f1, f2 = got.witness
@@ -460,23 +468,23 @@ def test_forced_set_is_in_every_placement(inst):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn_graphs(), st.data())
 def test_graph_answers_match_engine(inst, data):
-    # the search against the engine on any defining set, and on the same set
-    # with the target's partner added: equal status on every target, and
-    # each SAT witness holds on the graph
+    # the search against the reference check, one engine on the base for
+    # every query, on any defining set and on the same set with the target's
+    # partner added: equal status on every target, and each SAT witness of
+    # either holds on the graph
     defining = data.draw(st.sets(st.sampled_from(inst.z_vars)))
     ctx = DefinabilityContext(inst)
-    hat, ind = documented_layout(inst)
-    engine = CdclSolver(ctx.base)
     n = inst.graph.n
     for target in inst.z_vars:
         partner = target + n if target <= n else target - n
         for d in (defining - {target}, (defining | {partner}) - {target}):
             got = ctx.query(d, target)
-            assert got.layer == "graph" and got.conflicts_used == 0
-            want = engine.solve([ind[c] for c in d] + [target, -hat[target]])
+            want = ctx.engine_query(d, target)
+            assert got.conflicts_used == 0 and want.search_nodes == 0
             assert got.status is want.status
             if got.status is SolveStatus.SAT:
                 check_witness(inst, d, got)
+                check_witness(inst, d, want)
 
 
 def fewest_neighbours(nbrs, diff):
@@ -647,7 +655,7 @@ def test_forced_graphs_build_no_engine_at_k3(monkeypatch, name):
     res = run_gismo(inst)
     assert res.sensor_set == set(range(inst.graph.n))
     for entry in res.per_group_log:
-        assert [a.layer for a in entry.tested] == ["graph"]
+        assert [a.var for a in entry.tested] == [inst.x[entry.node]]
 
 
 def test_dense_graph_at_k3():

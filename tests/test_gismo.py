@@ -209,7 +209,6 @@ def test_group_order_modes():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     inst = encode_instance(g, 1)
     assert group_order(inst, GismoConfig()) == [0, 1, 2, 3]
-    assert group_order(inst, GismoConfig(order="deg-desc")) == [0, 1, 2, 3]
     assert group_order(inst, GismoConfig(order="deg-asc")) == [3, 1, 2, 0]
     shuffled = group_order(inst, GismoConfig(order="random", seed=4))
     assert sorted(shuffled) == [0, 1, 2, 3]
@@ -265,29 +264,29 @@ def test_output_is_gis_and_gics_random():
         assert_minimal_gis(inst, res.sensor_set)  # unbounded budget: set-minimal
 
 
-def test_output_is_gis_even_with_tiny_budget(engine_only):
-    # engine only: the graph search never exhausts, the engine's budget does
+def test_output_is_gis_even_with_tiny_budget(engine_context):
+    # every query on the engine, with a budget of one conflict
     rng = random.Random(71)
     saw_exhaustion = False
     for _ in range(40):
         inst = random_instance(rng, n_range=(4, 8), k_max=3)
-        res = run_gismo(inst, GismoConfig(budget=1))
+        res = run_gismo(inst, GismoConfig(budget=1), engine_context(inst))
         saw_exhaustion |= res.budget_exhaustions > 0
         assert is_gis_bruteforce(inst, res.sensor_set)
         assert is_gics(inst.graph, res.sensor_set, inst.k)
     assert saw_exhaustion, "budget=1 should exhaust on some query of this suite"
 
 
-def test_budget_monotonicity_empirical(engine_only):
-    # engine only, 30 draws give 25 instances that exhaust at budget=1: the
-    # proviso holds on 15 and fails on 10; the floors below keep each branch
-    # from going vacuous
+def test_budget_monotonicity_empirical(engine_context):
+    # every query on the engine: 30 draws give 25 instances that exhaust at
+    # budget=1; the proviso holds on 15 and fails on 10; the floors below
+    # keep each branch from going vacuous
     rng = random.Random(73)
     exhausting = proviso_held = proviso_failed = 0
     for _ in range(30):
         inst = random_instance(rng, n_range=(4, 8), k_max=3)
-        small = run_gismo(inst, GismoConfig(budget=1))
-        large = run_gismo(inst, GismoConfig(budget=HUGE))
+        small = run_gismo(inst, GismoConfig(budget=1), engine_context(inst))
+        large = run_gismo(inst, GismoConfig(budget=HUGE), engine_context(inst))
         if small.budget_exhaustions == 0:
             assert small.sensor_set == large.sensor_set
             continue
@@ -317,11 +316,11 @@ def test_budget_monotonicity_empirical(engine_only):
     assert exhausting >= 3 and proviso_held >= 3 and proviso_failed >= 3
 
 
-def test_exhausted_probe_that_would_be_sat_keeps_a_valid_gis(engine_only):
-    # path 1-2-3 plus isolated node 0 at k=2: at budget=1 node 1's x probe
-    # exhausts although it is SAT given room
+def test_exhausted_probe_that_would_be_sat_keeps_a_valid_gis(engine_context):
+    # path 1-2-3 plus isolated node 0 at k=2: on the engine at budget=1 node
+    # 1's x probe exhausts although it is SAT given room
     inst = encode_instance(build_graph(4, [(1, 2), (2, 3)]), 2)
-    small = run_gismo(inst, GismoConfig(budget=1))
+    small = run_gismo(inst, GismoConfig(budget=1), engine_context(inst))
     entry = next(e for e in small.per_group_log if e.node == 1)
     probe = entry.tested[-1]
     assert entry.kept and probe.status is SolveStatus.BUDGET_EXHAUSTED
@@ -334,6 +333,23 @@ def test_exhausted_probe_that_would_be_sat_keeps_a_valid_gis(engine_only):
     assert full.status is SolveStatus.SAT
     assert is_gis_bruteforce(inst, small.sensor_set)
     assert is_gics(inst.graph, small.sensor_set, inst.k)
+
+
+def test_pair_budget_keeps_a_valid_placement():
+    # gnp50's largest k=3 query visits 141 pairs; at a budget of 50 some
+    # queries stop after 50 pairs and keep their groups, and the placement
+    # stays valid
+    g = parse_graph_file(str(DATA / "gnp50.edges"))
+    inst = encode_instance(g, 3)
+    full = run_gismo(inst)
+    assert max(a.search_nodes for e in full.per_group_log for a in e.tested) == 141
+    res = run_gismo(inst, GismoConfig(budget=50))
+    exhausted = [(e, a) for e in res.per_group_log for a in e.tested
+                 if a.status is SolveStatus.BUDGET_EXHAUSTED]
+    assert len(exhausted) == res.budget_exhaustions >= 1
+    assert all(e.kept and a.search_nodes == 50 for e, a in exhausted)
+    assert res.total_conflicts == 0
+    assert is_gics(g, res.sensor_set, 3)
 
 
 def test_determinism_same_config_same_result():
@@ -349,7 +365,7 @@ def test_minimum_cardinality_lower_bounds_every_config():
     for _ in range(6):
         inst = random_instance(rng, n_range=(2, 6), k_max=2)
         best_size = min_gics_exhaustive(inst.graph, inst.k)[1]
-        for order in ("input", "deg-desc", "deg-asc", "random"):
+        for order in ("input", "deg-asc", "random"):
             res = run_gismo(inst, GismoConfig(order=order, seed=3))
             assert best_size <= len(res.sensor_set)
 
@@ -361,13 +377,17 @@ def without_conflicts(res):
              for e in res.per_group_log])
 
 
-def test_fresh_context_same_answer(fresh_context):
+def test_fresh_context_same_answer(engine_context, fresh_context):
+    # every query on the engine: one shared engine for the run against a new
+    # engine per query; both must decide as the graph search does
     g = fig1()
     inst = encode_instance(g, 1)
     cfg = GismoConfig(order=order_by_labels(g, "edcba"))
     res = run_gismo(inst, cfg, fresh_context(inst))
     assert {g.labels[v] for v in res.sensor_set} == {"a", "c"}
-    assert without_conflicts(res) == without_conflicts(run_gismo(inst, cfg))
+    assert without_conflicts(res) == \
+        without_conflicts(run_gismo(inst, cfg, engine_context(inst))) == \
+        without_conflicts(run_gismo(inst, cfg))
     rng = random.Random(89)
     for _ in range(12):
         inst = random_instance(rng)
@@ -376,4 +396,6 @@ def test_fresh_context_same_answer(fresh_context):
         cfg = GismoConfig(order=tuple(order))
         fresh = run_gismo(inst, cfg, fresh_context(inst))
         assert fresh.budget_exhaustions == 0
-        assert without_conflicts(fresh) == without_conflicts(run_gismo(inst, cfg))
+        shared = run_gismo(inst, cfg, engine_context(inst))
+        assert without_conflicts(fresh) == without_conflicts(shared) == \
+            without_conflicts(run_gismo(inst, cfg))

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicsat.cli import TRUTH_TABLE_LIMIT
-from gicsat.definability import DefinabilityContext
 from gicsat.encoder import encode_instance
 from gicsat.gismo import GismoConfig, run_gismo
 from gicsat.graph import parse_graph_file
@@ -425,12 +424,12 @@ def test_reused_solver_matches_brute_force(n, data):
             assert budget is not None and out.conflicts_used == budget
 
 
-def test_heap_stays_bounded_through_gismo(engine_only):
+def test_heap_stays_bounded_through_gismo(engine_context):
     # bumped variables re-pushed on backtrack leave stale entries behind;
     # backtracking sheds them once there are more than two per variable;
-    # engine only, so that every query of the run reaches it
+    # every query of the run reaches the one engine of the context
     inst = encode_instance(parse_graph_file(str(DATA / "gnp30.edges")), 4)
-    ctx = DefinabilityContext(inst)
+    ctx = engine_context(inst)
     res = run_gismo(inst, GismoConfig(order="input"), ctx)
     eng = ctx._engine
     assert res.total_conflicts > 0
